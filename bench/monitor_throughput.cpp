@@ -4,8 +4,7 @@
 // BOLT_BENCH_JSON is set (tools/bench_runner.sh / CI):
 //
 //  1. End-to-end monitor packets/sec on the NAT under heavy-tailed
-//     traffic, single-threaded and with one thread per core, with the
-//     compiled-expression VM and with the per-packet tree-walk baseline.
+//     traffic, from a single thread up to one thread per core.
 //
 //  2. Expression-evaluation only: every contract entry's three bounds
 //     evaluated over a large batch of PCV rows, tree-walk vs compiled VM
@@ -65,19 +64,13 @@ double best_seconds(int reps, F&& body) {
 double monitor_pps(const perf::Contract& contract,
                    const perf::PcvRegistry& reg,
                    const std::vector<net::Packet>& packets,
-                   std::size_t threads, bool compiled,
-                   std::size_t shards = 0,
-                   monitor::ShardGrouping grouping =
-                       monitor::ShardGrouping::kRoundRobin,
-                   bool telemetry = false, int reps = kReps,
+                   std::size_t threads, bool telemetry = false,
+                   int reps = kReps,
                    ir::EngineKind engine = ir::EngineKind::kDecoded) {
   double best_pps = 0;
   for (int rep = 0; rep < reps; ++rep) {
     monitor::MonitorOptions opts;
     opts.threads = threads;
-    opts.use_compiled_exprs = compiled;
-    opts.shards = shards;
-    opts.grouping = grouping;
     opts.telemetry = telemetry;
     opts.engine = engine;
     monitor::MonitorEngine engine(contract, reg, opts);
@@ -114,7 +107,7 @@ int main() {
   const std::vector<net::Packet> packets = net::zipf_traffic(spec);
 
   // --- end-to-end monitor throughput + thread-scaling sweep --------------
-  // Fixed 1/2/4/8-thread sweep of the staged pipeline (docs/PERFORMANCE.md
+  // Fixed 1/2/4/8-thread sweep of the partition executor (docs/PERFORMANCE.md
   // explains how to read the curve; it saturates at the machine's core
   // count — `num_cpus` is archived alongside for exactly that reason).
   const std::size_t sweep[] = {1, 2, 4, 8};
@@ -126,9 +119,9 @@ int main() {
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
   std::printf("monitor (NAT, %zu packets, 8 partitions):\n", packets.size());
   for (const std::size_t t : sweep) {
-    pps_at[t] = monitor_pps(result.contract, reg, packets, t, true);
-    std::printf("  %zu thread%s compiled exprs: %10.0f pps  (%.2fx)\n", t,
-                t == 1 ? ",  " : "s, ", pps_at[t], pps_at[t] / pps_at[1]);
+    pps_at[t] = monitor_pps(result.contract, reg, packets, t);
+    std::printf("  %zu thread%s %10.0f pps  (%.2fx)\n", t,
+                t == 1 ? ": " : "s:", pps_at[t], pps_at[t] / pps_at[1]);
     bench.metric("monitor_pps_" + std::to_string(t) + "thread", pps_at[t],
                  "packets/s", /*gate=*/t <= cores);
     if (t > 1) {
@@ -137,12 +130,9 @@ int main() {
     }
   }
   const double pps_1t = pps_at[1];
-  const double pps_nt = monitor_pps(result.contract, reg, packets, 0, true);
-  const double pps_1t_tw = monitor_pps(result.contract, reg, packets, 1, false);
-  std::printf("  N threads, compiled exprs: %10.0f pps\n", pps_nt);
-  std::printf("  1 thread,  tree-walk eval: %10.0f pps\n", pps_1t_tw);
+  const double pps_nt = monitor_pps(result.contract, reg, packets, 0);
+  std::printf("  N threads: %10.0f pps\n", pps_nt);
   bench.metric("monitor_pps_all_threads", pps_nt, "packets/s");
-  bench.metric("monitor_pps_1thread_treewalk", pps_1t_tw, "packets/s");
   bench.metric("monitor_thread_scaling", pps_nt / pps_1t, "x");
 
   // --- decoded-engine speedup over the reference interpreter -------------
@@ -151,8 +141,7 @@ int main() {
   // ratio is the execution fast path's headline number and is gated: the
   // decoded engine must stay decisively faster, not just not-slower.
   const double pps_1t_ref =
-      monitor_pps(result.contract, reg, packets, 1, true, 0,
-                  monitor::ShardGrouping::kRoundRobin, /*telemetry=*/false,
+      monitor_pps(result.contract, reg, packets, 1, /*telemetry=*/false,
                   kReps, ir::EngineKind::kReference);
   std::printf("  1 thread,  reference engine:%9.0f pps  (decoded %.2fx)\n",
               pps_1t_ref, pps_1t / pps_1t_ref);
@@ -175,11 +164,9 @@ int main() {
   double pps_tel_on = 0;
   for (int i = 0; i < kTelemetryPairs; ++i) {
     const double off =
-        monitor_pps(result.contract, reg, packets, 1, true, 0,
-                    monitor::ShardGrouping::kRoundRobin, false, /*reps=*/1);
+        monitor_pps(result.contract, reg, packets, 1, false, /*reps=*/1);
     const double on =
-        monitor_pps(result.contract, reg, packets, 1, true, 0,
-                    monitor::ShardGrouping::kRoundRobin, /*telemetry=*/true,
+        monitor_pps(result.contract, reg, packets, 1, /*telemetry=*/true,
                     /*reps=*/1);
     pps_tel_on = std::max(pps_tel_on, on);
     deltas[i] = (off - on) / off * 100.0;
@@ -198,77 +185,6 @@ int main() {
                  "bench: telemetry overhead %.2f%% exceeds the 5%% budget\n",
                  telemetry_overhead);
     return 1;
-  }
-
-  // --- shard grouping under skewed traffic -------------------------------
-  // Heavily skewed flow popularity concentrates packets on few partitions;
-  // with fewer shards than partitions, round-robin grouping can lump the
-  // hot partitions onto one queue while longest-queue-first (LPT) spreads
-  // them. Reports are byte-identical either way (tests enforce it); only
-  // the wall-clock may differ.
-  net::ZipfSpec skewed_spec;
-  skewed_spec.flow_pool = 64;
-  skewed_spec.skew = 2.2;
-  skewed_spec.packet_count = 200'000;
-  const std::vector<net::Packet> skewed = net::zipf_traffic(skewed_spec);
-  const double pps_skew_rr =
-      monitor_pps(result.contract, reg, skewed, 4, true, 4,
-                  monitor::ShardGrouping::kRoundRobin);
-  const double pps_skew_lqf =
-      monitor_pps(result.contract, reg, skewed, 4, true, 4,
-                  monitor::ShardGrouping::kLongestQueueFirst);
-  std::printf("\nskewed traffic (zipf 2.2, 8 partitions on 4 shards):\n");
-  std::printf("  round-robin grouping:       %10.0f pps\n", pps_skew_rr);
-  std::printf("  longest-queue-first (LPT):  %10.0f pps\n", pps_skew_lqf);
-  bench.metric("monitor_pps_skewed_roundrobin", pps_skew_rr, "packets/s",
-               /*gate=*/cores >= 4);
-  bench.metric("monitor_pps_skewed_lqf", pps_skew_lqf, "packets/s",
-               /*gate=*/cores >= 4);
-  // Wall-clock LQF/RR ratio is informational only: on machines where the
-  // four shard workers time-slice (or where per-queue setup dominates the
-  // imbalance), the ratio of two noisy wall-clocks jitters around 1.0 and
-  // once gated a 0.967 "regression" that was pure scheduler noise. The
-  // gated number is the deterministic makespan model below.
-  bench.metric("monitor_grouping_speedup", pps_skew_lqf / pps_skew_rr, "x",
-               /*gate=*/false);
-
-  // Deterministic grouping quality: the same per-partition packet counts
-  // and the same placement policies the engine uses, evaluated on the load
-  // model (packets on the fullest queue — the lower bound on any queue-
-  // parallel schedule) instead of wall-clock. Pure arithmetic on the
-  // workload, so it is identical on every host and safely gateable; LPT is
-  // never worse than round-robin on this model, so the ratio is >= 1 by
-  // construction and any drop means the placement policy itself regressed.
-  {
-    constexpr std::size_t kParts = 8, kShards = 4;
-    std::vector<std::size_t> load(kParts, 0);
-    for (const net::Packet& p : skewed) {
-      ++load[monitor::partition_of(p, kParts)];
-    }
-    std::size_t rr[kShards] = {}, lpt[kShards] = {};
-    for (std::size_t p = 0; p < kParts; ++p) rr[p % kShards] += load[p];
-    std::vector<std::size_t> order(kParts);
-    for (std::size_t p = 0; p < kParts; ++p) order[p] = p;
-    std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
-                                                     std::size_t b) {
-      return load[a] > load[b];
-    });
-    for (const std::size_t p : order) {
-      std::size_t lightest = 0;
-      for (std::size_t s = 1; s < kShards; ++s) {
-        if (lpt[s] < lpt[lightest]) lightest = s;
-      }
-      lpt[lightest] += load[p];
-    }
-    const double rr_makespan =
-        static_cast<double>(*std::max_element(rr, rr + kShards));
-    const double lpt_makespan =
-        static_cast<double>(*std::max_element(lpt, lpt + kShards));
-    std::printf("  modeled makespan rr/lpt:    %10.3fx  (%0.f vs %0.f pkts "
-                "on the fullest shard)\n",
-                rr_makespan / lpt_makespan, rr_makespan, lpt_makespan);
-    bench.metric("monitor_grouping_makespan_ratio",
-                 rr_makespan / lpt_makespan, "x");
   }
 
   // --- expression evaluation only ----------------------------------------

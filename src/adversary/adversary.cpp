@@ -36,7 +36,7 @@ constexpr std::uint64_t kSearchBudget = 64'000'000;
 // ---------------------------------------------------------------------------
 // Shadow: a bit-exact model of the monitor's measurement side. One NF
 // instance per flow-affine partition, advanced in emission order with the
-// same deterministic epoch clock MonitorEngine::run_partition uses, so the
+// same deterministic epoch clock monitor::PartitionExec uses, so the
 // class key and PCVs observed here are exactly what the replay will see.
 // ---------------------------------------------------------------------------
 class Shadow {

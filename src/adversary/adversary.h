@@ -24,7 +24,7 @@
 //
 // Everything is deterministic in AdversaryOptions::seed: the same options
 // produce byte-identical traces, and replay reports are byte-identical at
-// any shard x thread combination (the monitor's standing guarantee).
+// any thread count (the monitor's standing guarantee).
 #pragma once
 
 #include <array>

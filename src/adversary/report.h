@@ -64,9 +64,8 @@ std::string gap_report_to_json(const GapReport& report);
 
 /// Replays `trace` through the monitor against `contract` and measures the
 /// gap. `options.partitions` and `options.epoch_ns` are overridden from the
-/// trace (they are part of the plan's semantics); shards/threads/grouping
-/// remain free execution knobs — the report is byte-identical under all of
-/// them.
+/// trace (they are part of the plan's semantics); `threads` remains a free
+/// execution knob — the report is byte-identical at any thread count.
 GapReport replay(const AdversarialTrace& trace, const perf::Contract& contract,
                  const perf::PcvRegistry& reg,
                  monitor::MonitorOptions options = {});

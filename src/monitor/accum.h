@@ -5,9 +5,10 @@
 // worsts are maxima under a *total* order (utilization, ties by packet
 // index), the bounded offender list is a top-k under the same total order,
 // and the sketches are merge-order independent by property test. That is
-// what lets statistics accumulate per work queue, per delta window, or per
-// fleet instance — whose composition depends on execution-only knobs or on
-// deployment shape — and still merge to byte-identical reports.
+// what lets statistics accumulate per partition, per validation block, per
+// delta window, or per fleet instance — whose composition depends on
+// execution or on deployment shape — and still merge to byte-identical
+// reports.
 //
 // build_report / build_delta_window are the single rendering paths: the
 // batch engine's end-of-run merge, the streaming monitor's finish(), and

@@ -17,37 +17,26 @@
 //
 // Three design points make it fast AND deterministic:
 //
-//  * A batched staged pipeline — packets flow through three stages,
-//    execute (run the NF, collect PCVs/counters) -> attribute (resolve the
-//    observed class key to a contract entry, allocation-free) ->
-//    validate (evaluate the entry's compiled bounds over a whole batch of
-//    same-class packets and accumulate statistics). Rows land in
-//    structure-of-arrays batch buffers, so dispatch, attribution
-//    bookkeeping and expression evaluation are amortised per batch rather
-//    than paid per packet. With two or more worker threads the execute and
-//    validate stages run on separate threads per worker pair, hand-off by
-//    lock-free SPSC ring (support/spsc_ring.h) with batch-buffer recycling
-//    on the return path.
-//
-//  * Compiled expressions — contract polynomials are flattened once into
-//    perf::CompiledExpr bytecode and evaluated in batches over dense PCV
-//    rows instead of per-packet tree walks (bench/monitor_throughput.cpp
-//    measures the difference).
-//
-//  * Fixed state partitions — the stream is split into `partitions`
+//  * One partition executor — the paper's model, one packet processed to
+//    completion by one NF instance. The stream is split into `partitions`
 //    flow-affine sub-streams (RSS-style: flows hash to partitions, so
 //    per-flow state in a partition sees a coherent history), each with a
-//    freshly built NF instance. The partition count is part of the
-//    *semantics*; `shards` (how partitions are grouped into work queues),
-//    `grouping` (the placement policy), `threads` (how many queues run
-//    concurrently), `batch` (rows per pipeline batch) and `pipeline`
-//    (staged or inline validation) are pure execution knobs. Statistics
-//    accumulate per work queue and are merged once at end of run; every
-//    accumulation is order-independent (sums, maxima under a total order,
-//    merge-order-independent quantile sketches), so reports are
-//    byte-identical at any shard x thread x grouping x batch combination —
-//    the same determinism contract the PR-1 pipeline enforces
+//    freshly built NF instance. Every packet is executed, metered,
+//    attributed to its contract entry and validated on the thread that
+//    owns its partition (monitor/exec.h — the same core the streaming
+//    monitor and the fleet run). Each partition is one task on
+//    support::ThreadPool, submitted heaviest-first, so the pool's atomic
+//    index counter performs greedy longest-processing-time scheduling.
+//    The partition count is part of the *semantics*; `threads` is the only
+//    execution knob. Statistics accumulate per partition and merge in
+//    partition order; every accumulation is order-independent (sums,
+//    maxima under a total order, merge-order-independent quantile
+//    sketches), so reports are byte-identical at any thread count
 //    (tests/test_monitor.cpp, tests/test_monitor_longrun.cpp).
+//
+//  * Compiled expressions — contract polynomials are flattened once into
+//    perf::CompiledExpr bytecode and evaluated over blocks of up to 64
+//    same-class dense PCV rows, amortising the VM's dispatch.
 //
 //  * A deterministic epoch clock — driven by packet timestamps, never by
 //    wall-clock: when a partition's traffic crosses an `epoch_ns`
@@ -61,9 +50,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/targets.h"
@@ -80,33 +68,13 @@ namespace bolt::monitor {
 /// Attribution slot value for packets no contract entry matched.
 inline constexpr std::uint32_t kUnattributedEntry = ~0u;
 
-/// How partitions are grouped into work queues. Execution-only — grouping
-/// can change wall-clock, never report bytes (partitions compute the same
-/// result wherever they run; the merge is in partition order).
-enum class ShardGrouping : std::uint8_t {
-  /// Partition p joins queue p % shards. Fine for uniform traffic.
-  kRoundRobin = 0,
-  /// LPT scheduling: partitions sorted by queue length (descending, ties by
-  /// lower partition id) are each placed on the currently-lightest queue —
-  /// the classic longest-processing-time heuristic. Under skewed traffic
-  /// (one hot partition, e.g. an adversarial trace hammering a single RSS
-  /// queue) round-robin can lump hot partitions onto one shard; this
-  /// spreads them.
-  kLongestQueueFirst = 1,
-};
-
 struct MonitorOptions {
   /// Flow-affine state partitions, each with its own NF instance. Part of
   /// the monitor's semantics (reports at different partition counts
-  /// legitimately differ; reports at different shard or *thread* counts
-  /// never do).
+  /// legitimately differ; reports at different *thread* counts never do).
   std::size_t partitions = 8;
-  /// Work queues the partitions are grouped into. Execution only — it
-  /// affects scheduling, never report bytes. 0 = one queue per partition.
-  std::size_t shards = 0;
-  /// Partition -> queue placement policy (execution only, like `shards`).
-  ShardGrouping grouping = ShardGrouping::kRoundRobin;
-  /// Worker threads (0 = one per hardware thread). Execution only.
+  /// Worker threads (0 = one per hardware thread; the pool never exceeds
+  /// the partition count). Execution only.
   std::size_t threads = 0;
   /// Deterministic epoch clock granularity (packet-timestamp time). At
   /// every boundary crossing the engine expires the partition's stale
@@ -124,31 +92,16 @@ struct MonitorOptions {
   bool check_cycles = true;
   /// Worst offenders kept per class.
   std::size_t max_offenders = 4;
-  /// Rows per staged-pipeline batch: dispatch, attribution bookkeeping and
-  /// compiled-expression evaluation are amortised over this many packets
-  /// of one input class. Execution-only — like shards/threads/grouping,
-  /// the batch size can change wall-clock, never report bytes (rows are
-  /// validated independently and accumulation is order-independent).
-  std::size_t batch = 64;
-  /// Run execute/attribute and validate as two pipeline stages on separate
-  /// threads per worker pair, connected by a lock-free SPSC ring
-  /// (support/spsc_ring.h). Takes effect when at least two worker threads
-  /// are available; execution-only, never changes report bytes.
-  bool pipeline = true;
-  /// Evaluate bounds through the compiled-expression VM (false = the
-  /// per-packet tree walk; exists as the benchmark baseline and as a
-  /// cross-check in tests).
-  bool use_compiled_exprs = true;
   /// Execution engine for the per-partition runners. Execution-only: the
   /// decoded fast path (default) is report-byte-identical to the reference
-  /// interpreter — tests/test_decoded.cpp proves it over the knob grid —
+  /// interpreter — tests/test_decoded.cpp proves it over the thread grid —
   /// and kReference exists as the oracle baseline for those tests and for
   /// bench's interp_decoded_speedup metric.
   ir::EngineKind engine = ir::EngineKind::kDecoded;
   /// Incremental reporting: emit one delta window every this many epochs
   /// (0 = off; needs epoch_ns > 0). Windows are keyed purely by packet
   /// timestamp (ts / (epoch_ns * delta_every)), so the delta stream is
-  /// byte-deterministic across the execution knobs — and the *main* report
+  /// byte-deterministic across thread counts — and the *main* report
   /// is byte-identical at every delta_every setting (tests/test_obs.cpp).
   std::size_t delta_every = 0;
   /// Contract-drift detector tuning; runs over the delta stream whenever
@@ -171,6 +124,8 @@ struct MonitorOptions {
   bool inject_straddle_bug = false;
 };
 
+struct ContractTables;
+
 class MonitorEngine {
  public:
   /// Builds a fresh target for one partition. PCVs are interned into the
@@ -184,11 +139,12 @@ class MonitorEngine {
   /// perf::load_contract. Both must outlive the engine.
   MonitorEngine(const perf::Contract& contract, const perf::PcvRegistry& reg,
                 MonitorOptions options = {});
-  ~MonitorEngine();  // out of line: EntryVm is incomplete here
+  ~MonitorEngine();  // out of line: ContractTables is incomplete here
 
   /// Streams `packets` through per-partition instances built by `factory`
   /// and returns the merged report. The input is not mutated (partitions
-  /// run on copies, as the NF rewrites headers).
+  /// run on copies, as the NF rewrites headers). `factory` is called once
+  /// per partition, heaviest partition first.
   ///
   /// `attribution` (optional) receives one entry per packet: the contract
   /// entry index the packet was attributed to, or kUnattributedEntry. This
@@ -214,19 +170,8 @@ class MonitorEngine {
   const MonitorOptions& options() const { return options_; }
 
  private:
-  struct EntryVm;      ///< per contract entry: 3 compiled metric bounds
-  struct SoaBatch;     ///< one structure-of-arrays batch of attributed rows
-  struct QueueResult;  ///< per-work-queue accumulation (merged at end)
-  class Validator;     ///< the validate stage (batch eval + accumulation)
-  class QueueTask;     ///< the execute+attribute stage for one work queue
-
-  const perf::Contract& contract_;
-  const perf::PcvRegistry& reg_;
   MonitorOptions options_;
-  std::vector<EntryVm> vms_;       ///< per contract entry, 3 compiled exprs
-  std::unordered_map<std::string, std::size_t> entry_index_;
-  std::size_t slot_stride_ = 0;    ///< dense PCV row width (registry size)
-  std::uint64_t delta_window_ns_ = 0;  ///< epoch_ns * delta_every (0 = off)
+  std::unique_ptr<const ContractTables> tables_;
 };
 
 /// The partition a packet belongs to: a flow-affine hash over the Ethernet

@@ -16,7 +16,7 @@
 // Reports are deterministic by construction: every field is derived from
 // integer aggregation over fixed flow-affine state partitions, merged in
 // partition order — so a report for a given (contract, traffic, partition
-// count) is byte-identical no matter how many shards or threads computed
+// count) is byte-identical no matter how many threads computed
 // it. That property is enforced by tests/test_monitor.cpp and
 // tests/test_monitor_longrun.cpp.
 #pragma once

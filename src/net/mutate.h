@@ -15,7 +15,7 @@
 //   * stretch_gap — idle gaps that force epoch crossings (and therefore
 //     sweeps) where the seed trace had none.
 //   * swap_contents / rotate_window — cross-class interleavings and
-//     shard-grouping-sensitive orderings: packet contents move against a
+//     scheduling-sensitive orderings: packet contents move against a
 //     fixed clock, so state histories interleave differently.
 //   * duplicate_at — bursts: occupancy ramps that rekey/fill mid-burst.
 #pragma once

@@ -5,11 +5,11 @@
 // into windows of `delta_every` epochs purely by their timestamp
 // (window = ts / (epoch_ns * delta_every) — a function of the packet, not
 // of scheduling), each window accumulates per-class violation counts and
-// headroom sketches, and the per-queue window maps are merged once at end
-// of run exactly like the main report's accumulators. Because the window
-// key is semantic and every accumulator is merge-order independent, the
-// delta stream is byte-deterministic across the execution-only knobs
-// (shards x threads x grouping x batch x pipeline), and merging all of a
+// headroom sketches, and the per-partition window maps are merged once at
+// end of run exactly like the main report's accumulators. Because the
+// window key is semantic and every accumulator is merge-order independent,
+// the delta stream is byte-deterministic across the execution-only knobs
+// (threads x engine), and merging all of a
 // run's window sketches reproduces the final report's sketch state —
 // tests/test_obs.cpp locks both properties down.
 //

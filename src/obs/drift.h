@@ -14,7 +14,7 @@
 // outlier window (a GC-like burst, one anomalous tail) that would drag a
 // least-squares fit, and it is a pure function of the point multiset, so
 // alerts inherit the delta stream's determinism — a drifting trace alerts
-// at the same window on every machine, shard count, and thread count.
+// at the same window on every machine and at every thread count.
 #pragma once
 
 #include <cstdint>

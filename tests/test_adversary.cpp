@@ -9,8 +9,8 @@
 //    measured p99 consumes >= 80% of the contract bound ("the contract
 //    says this is the worst case" is a measured fact);
 //  * determinism — a fixed seed reproduces the trace byte-for-byte, and
-//    replay reports are byte-identical at any shard x thread x grouping
-//    combination;
+//    replay reports are byte-identical at any thread count on either
+//    execution engine;
 //  * the trace pair (pcap + plan sidecar) round-trips through disk.
 #include <gtest/gtest.h>
 
@@ -120,26 +120,21 @@ TEST_P(AdversaryLoop, TraceIsByteDeterministicForAFixedSeed) {
   EXPECT_EQ(c.gap.mismatched, 0u);
 }
 
-TEST_P(AdversaryLoop, ReplayReportsAreIdenticalAtAnyShardThreadGrouping) {
+TEST_P(AdversaryLoop, ReplayReportsAreIdenticalAtAnyThreadCountAndEngine) {
   const Loop loop = run_loop(GetParam(), small_options());
   const std::string baseline = monitor::report_to_json(loop.gap.monitor);
   const std::string gap_baseline = gap_report_to_json(loop.gap);
-  for (const std::size_t shards : {std::size_t(1), std::size_t(3)}) {
-    for (const std::size_t threads : {std::size_t(1), std::size_t(4)}) {
-      for (const monitor::ShardGrouping grouping :
-           {monitor::ShardGrouping::kRoundRobin,
-            monitor::ShardGrouping::kLongestQueueFirst}) {
-        monitor::MonitorOptions opts;
-        opts.shards = shards;
-        opts.threads = threads;
-        opts.grouping = grouping;
-        const GapReport gap =
-            replay(loop.trace, loop.contract, loop.reg, opts);
-        EXPECT_EQ(monitor::report_to_json(gap.monitor), baseline)
-            << "shards=" << shards << " threads=" << threads
-            << " grouping=" << static_cast<int>(grouping);
-        EXPECT_EQ(gap_report_to_json(gap), gap_baseline);
-      }
+  for (const std::size_t threads : {std::size_t(1), std::size_t(3),
+                                    std::size_t(4)}) {
+    for (const ir::EngineKind engine :
+         {ir::EngineKind::kDecoded, ir::EngineKind::kReference}) {
+      monitor::MonitorOptions opts;
+      opts.threads = threads;
+      opts.engine = engine;
+      const GapReport gap = replay(loop.trace, loop.contract, loop.reg, opts);
+      EXPECT_EQ(monitor::report_to_json(gap.monitor), baseline)
+          << "threads=" << threads << " engine=" << static_cast<int>(engine);
+      EXPECT_EQ(gap_report_to_json(gap), gap_baseline);
     }
   }
 }

@@ -35,13 +35,11 @@ TEST(CliHelp, MatchesGoldenByteForByte) {
 }
 
 TEST(CliHelp, DocumentsEveryMonitorFlag) {
-  // The flags cmd_monitor accepts (tools/bolt_cli.cpp). PR 5 shipped the
-  // --grouping enum with no CLI flag and no help line; this list is the
-  // guard against the next such gap.
+  // The flags cmd_monitor accepts (tools/bolt_cli.cpp): the guard against
+  // a knob that ships without a help line.
   const std::vector<std::string> flags = {
       "--contract", "--workload",  "--packets",  "--partitions",
-      "--shards",   "--grouping",  "--threads",  "--batch",
-      "--no-pipeline", "--epoch-ns", "--violation-threshold",
+      "--threads",  "--epoch-ns",  "--violation-threshold",
       "--inflate",  "--no-cycles", "--pcap",     "--json",
       "--report",   "--delta-every", "--delta-out", "--metrics-out",
       "--metrics-format", "--watch", "--follow", "--spool", "--fleet",
@@ -52,12 +50,6 @@ TEST(CliHelp, DocumentsEveryMonitorFlag) {
     EXPECT_NE(help.find(flag), std::string::npos)
         << "monitor flag " << flag << " missing from the help text";
   }
-}
-
-TEST(CliHelp, DocumentsGroupingPolicies) {
-  const std::string help = cli_usage_text();
-  EXPECT_NE(help.find("roundrobin"), std::string::npos);
-  EXPECT_NE(help.find("lqf"), std::string::npos);
 }
 
 TEST(CliHelp, EndsWithNewline) {

@@ -1,12 +1,18 @@
 // The compiled-expression VM's contract: bytecode evaluation (scalar and
 // batch) is bit-identical to the tree-walk PerfExpr::eval on any
 // polynomial — randomized shapes up to degree >= 3, empty and constant
-// expressions, negative and overflow-adjacent coefficients — and the
-// compiler actually folds/factors (instruction-count sanity checks).
+// expressions, negative and overflow-adjacent coefficients, and every
+// bound of the generated bridge and nat contracts at the monitor's real
+// row layout — and the compiler actually folds/factors (instruction-count
+// sanity checks).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "core/bolt.h"
+#include "core/targets.h"
+#include "monitor/exec.h"
 #include "perf/expr_vm.h"
 #include "perf/perf_expr.h"
 #include "support/random.h"
@@ -134,6 +140,52 @@ TEST(ExprVm, CseSharesRepeatedStructure) {
     ASSERT_EQ(vm.eval(bind), expr.eval(bind)) << vm.str();
   }
   EXPECT_LE(vm.instruction_count(), 9u) << vm.str();
+}
+
+TEST(ExprVm, GeneratedContractBoundsMatchTreeWalkAtMonitorStride) {
+  // The tree walk is the oracle for the compiled bounds the monitor
+  // validates with: every entry and metric of real generated contracts,
+  // evaluated in batch over dense rows laid out exactly as the monitor
+  // lays them out (monitor::ContractTables' slot stride).
+  for (const std::string nf : {"bridge", "nat"}) {
+    PcvRegistry reg;
+    core::NfTarget target;
+    ASSERT_TRUE(core::make_named_target(nf, reg, target));
+    core::ContractGenerator gen(reg);
+    const core::GenerationResult result = gen.generate(target.analysis());
+    ASSERT_FALSE(result.contract.entries().empty()) << nf;
+    const monitor::ContractTables tables(result.contract, reg,
+                                         monitor::MonitorOptions{});
+    const std::size_t stride = tables.slot_stride;
+
+    support::Rng rng(2024);
+    constexpr std::size_t kRows = 97;
+    std::vector<std::uint64_t> slots(kRows * stride);
+    std::vector<PcvBinding> binds(kRows);
+    for (std::size_t row = 0; row < kRows; ++row) {
+      for (std::size_t s = 0; s < stride; ++s) {
+        if (rng.chance(0.3)) continue;  // unbound PCVs read as 0
+        const std::uint64_t v = rng.below(1 << 12);
+        slots[row * stride + s] = v;
+        if (v != 0) binds[row].set(static_cast<PcvId>(s), v);
+      }
+    }
+    std::vector<std::int64_t> out(kRows);
+    BatchScratch scratch;
+    for (std::size_t e = 0; e < result.contract.entries().size(); ++e) {
+      const ContractEntry& entry = result.contract.entries()[e];
+      for (const Metric m : kAllMetrics) {
+        const int mi = metric_index(m);
+        tables.bounds[e][mi].eval_batch(slots.data(), stride, kRows,
+                                        out.data(), scratch);
+        for (std::size_t row = 0; row < kRows; ++row) {
+          ASSERT_EQ(out[row], entry.perf.get(m).eval(binds[row]))
+              << nf << " entry " << entry.input_class << " metric " << mi
+              << " row " << row;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -5,13 +5,19 @@
 //  * an injected cost perturbation (measurement framework more expensive
 //    than the one the contract was generated for) is reported as a
 //    violation with class, packet index, and predicted vs measured values;
-//  * reports are byte-identical at 1, 2, and 8 threads, and identical
-//    between the compiled-expression VM and the tree-walk baseline;
+//  * reports and per-packet attribution are byte-identical at any thread
+//    count, for every partition count, under uniform and skewed traffic;
+//  * partitions are submitted heaviest-first;
 //  * sharding is flow-affine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/bolt.h"
 #include "core/targets.h"
@@ -102,133 +108,97 @@ INSTANTIATE_TEST_SUITE_P(Targets, MonitorSoundness,
                          ::testing::Values("nat", "bridge", "fw+router"));
 
 TEST(Monitor, ReportsAreByteIdenticalAcrossThreadCounts) {
+  // Threads are the monitor's only execution knob: each partition is one
+  // pool task computing the same result wherever it runs, and results
+  // merge in partition order. Checked on the default workload and on
+  // heavily skewed traffic (few flows -> few hot partitions, the case
+  // heaviest-first scheduling exists for), with per-packet attribution
+  // compared too. Reports legitimately differ across partition counts, so
+  // each partition count has its own single-thread baseline.
   perf::PcvRegistry reg;
   const auto result = contract_for("nat", reg);
-  const auto packets = workload_for("nat", 3000);
+  net::ZipfSpec skewed_spec;
+  skewed_spec.flow_pool = 48;
+  skewed_spec.skew = 2.0;
+  skewed_spec.packet_count = 3000;
+  const std::vector<std::pair<const char*, std::vector<net::Packet>>>
+      workloads = {{"nat", workload_for("nat", 3000)},
+                   {"skewed", net::zipf_traffic(skewed_spec)}};
 
-  std::string baseline;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    MonitorOptions opts;
-    opts.partitions = 8;
-    opts.threads = threads;
-    MonitorEngine engine(result.contract, reg, opts);
-    const MonitorReport report =
-        engine.run(packets, MonitorEngine::named_factory("nat"));
-    const std::string json = report_to_json(report);
-    if (baseline.empty()) {
-      baseline = json;
-    } else {
-      EXPECT_EQ(json, baseline) << "threads=" << threads;
+  for (const auto& [workload, packets] : workloads) {
+    for (const std::size_t partitions : {std::size_t(1), std::size_t(3),
+                                         std::size_t(8)}) {
+      std::string baseline;
+      std::vector<std::uint32_t> baseline_attr;
+      for (const std::size_t threads :
+           {std::size_t(1), std::size_t(2), std::size_t(3), std::size_t(4),
+            std::size_t(8)}) {
+        MonitorOptions opts;
+        opts.partitions = partitions;
+        opts.threads = threads;
+        MonitorEngine engine(result.contract, reg, opts);
+        std::vector<std::uint32_t> attr;
+        const std::string json = report_to_json(
+            engine.run(packets, MonitorEngine::named_factory("nat"), &attr));
+        if (baseline.empty()) {
+          baseline = json;
+          baseline_attr = attr;
+          EXPECT_NE(json.find("\"violations\":0"), std::string::npos)
+              << workload << " partitions=" << partitions;
+        } else {
+          EXPECT_EQ(json, baseline) << workload << " partitions="
+                                    << partitions << " threads=" << threads;
+          EXPECT_EQ(attr, baseline_attr);
+        }
+      }
     }
   }
-  EXPECT_NE(baseline.find("\"violations\":0"), std::string::npos);
 }
 
-TEST(Monitor, ShardGroupingPolicyNeverChangesReportBytes) {
-  // Grouping (like shards and threads) is execution-only as of the
-  // partition/shard split: longest-queue-first may change which queue runs
-  // a partition, never what the partition computes. Exercise it under
-  // heavily skewed traffic — the case the policy exists for — across a
-  // shard x thread grid, with per-packet attribution also compared.
+TEST(Monitor, PartitionsAreSubmittedHeaviestFirst) {
+  // At one thread the pool runs tasks in submission order, so the order
+  // the factory is called in is the submission order. Each built NF
+  // instance samples its occupancy once per packet plus once for the
+  // end-of-run residents, which identifies the load of the partition it
+  // was built for.
   perf::PcvRegistry reg;
   const auto result = contract_for("nat", reg);
   net::ZipfSpec spec;
-  spec.flow_pool = 48;  // few flows -> few hot partitions
+  spec.flow_pool = 48;
   spec.skew = 2.0;
   spec.packet_count = 3000;
   const auto packets = net::zipf_traffic(spec);
+  constexpr std::size_t kPartitions = 8;
 
-  std::string baseline;
-  std::vector<std::uint32_t> baseline_attr;
-  for (const ShardGrouping grouping :
-       {ShardGrouping::kRoundRobin, ShardGrouping::kLongestQueueFirst}) {
-    for (const std::size_t shards : {std::size_t(1), std::size_t(3),
-                                     std::size_t(8)}) {
-      for (const std::size_t threads : {std::size_t(1), std::size_t(4)}) {
-        MonitorOptions opts;
-        opts.partitions = 8;
-        opts.shards = shards;
-        opts.threads = threads;
-        opts.grouping = grouping;
-        MonitorEngine engine(result.contract, reg, opts);
-        std::vector<std::uint32_t> attr;
-        const MonitorReport report =
-            engine.run(packets, MonitorEngine::named_factory("nat"), &attr);
-        const std::string json = report_to_json(report);
-        if (baseline.empty()) {
-          baseline = json;
-          baseline_attr = attr;
-        } else {
-          EXPECT_EQ(json, baseline)
-              << "grouping=" << static_cast<int>(grouping)
-              << " shards=" << shards << " threads=" << threads;
-          EXPECT_EQ(attr, baseline_attr);
-        }
-      }
-    }
+  std::vector<std::uint64_t> load(kPartitions, 0);
+  for (const net::Packet& p : packets) ++load[partition_of(p, kPartitions)];
+  std::vector<std::uint64_t> expected = load;
+  std::sort(expected.begin(), expected.end(), std::greater<>());
+  ASSERT_NE(expected.front(), expected.back()) << "workload is not skewed";
+
+  auto samples = std::make_shared<std::vector<std::uint64_t>>();
+  const MonitorEngine::TargetFactory named = MonitorEngine::named_factory("nat");
+  const MonitorEngine::TargetFactory recording =
+      [named, samples](perf::PcvRegistry& local) {
+        core::NfTarget target = named(local);
+        const std::size_t call = samples->size();
+        samples->push_back(0);
+        auto occupancy = target.instance.state_occupancy;
+        target.instance.state_occupancy = [occupancy, samples, call] {
+          ++(*samples)[call];
+          return occupancy();
+        };
+        return target;
+      };
+
+  MonitorOptions opts;
+  opts.partitions = kPartitions;
+  opts.threads = 1;
+  MonitorEngine(result.contract, reg, opts).run(packets, recording);
+  ASSERT_EQ(samples->size(), kPartitions);
+  for (std::size_t call = 0; call < kPartitions; ++call) {
+    EXPECT_EQ((*samples)[call], expected[call] + 1) << "factory call " << call;
   }
-}
-
-TEST(Monitor, BatchSizeAndPipelineModeNeverChangeReportBytes) {
-  // Batch size and staged-vs-inline validation are execution-only knobs of
-  // the batched pipeline: rows are validated independently and every
-  // accumulator is order-independent, so where a batch boundary falls —
-  // and which thread evaluates the batch — cannot leak into the report.
-  // batch=1 degenerates to per-packet validation; batch=1024 exceeds the
-  // whole per-partition packet count so everything validates in the final
-  // flush; batch=3 puts boundaries in awkward mid-class places.
-  perf::PcvRegistry reg;
-  const auto result = contract_for("nat", reg);
-  const auto packets = workload_for("nat", 3000);
-
-  std::string baseline;
-  std::vector<std::uint32_t> baseline_attr;
-  for (const bool pipeline : {false, true}) {
-    for (const std::size_t batch :
-         {std::size_t(1), std::size_t(3), std::size_t(64),
-          std::size_t(1024)}) {
-      for (const std::size_t threads : {std::size_t(1), std::size_t(4)}) {
-        MonitorOptions opts;
-        opts.partitions = 8;
-        opts.batch = batch;
-        opts.pipeline = pipeline;
-        opts.threads = threads;
-        MonitorEngine engine(result.contract, reg, opts);
-        std::vector<std::uint32_t> attr;
-        const MonitorReport report =
-            engine.run(packets, MonitorEngine::named_factory("nat"), &attr);
-        const std::string json = report_to_json(report);
-        if (baseline.empty()) {
-          baseline = json;
-          baseline_attr = attr;
-        } else {
-          EXPECT_EQ(json, baseline) << "pipeline=" << pipeline
-                                    << " batch=" << batch
-                                    << " threads=" << threads;
-          EXPECT_EQ(attr, baseline_attr);
-        }
-      }
-    }
-  }
-}
-
-TEST(Monitor, CompiledVmMatchesTreeWalkBaseline) {
-  perf::PcvRegistry reg;
-  const auto result = contract_for("bridge", reg);
-  const auto packets = workload_for("bridge", 2000);
-
-  MonitorOptions vm_opts;
-  vm_opts.partitions = 4;
-  MonitorOptions tw_opts = vm_opts;
-  tw_opts.use_compiled_exprs = false;
-
-  const MonitorReport vm_report =
-      MonitorEngine(result.contract, reg, vm_opts)
-          .run(packets, MonitorEngine::named_factory("bridge"));
-  const MonitorReport tw_report =
-      MonitorEngine(result.contract, reg, tw_opts)
-          .run(packets, MonitorEngine::named_factory("bridge"));
-  EXPECT_EQ(report_to_json(vm_report), report_to_json(tw_report));
 }
 
 TEST(Monitor, InjectedCostPerturbationIsReported) {

@@ -1,9 +1,9 @@
 // Long-running operator monitoring — the week-long-run guarantees:
 //
 //  * Determinism: a simulated multi-day heavy-tailed run produces
-//    byte-identical reports at ANY shard x thread combination (both are
-//    pure execution knobs; flow-affine state partitions are the semantic
-//    unit), including every sketch quantile and state counter.
+//    byte-identical reports at ANY thread count on either execution engine
+//    (both are pure execution knobs; flow-affine state partitions are the
+//    semantic unit), including every sketch quantile and state counter.
 //  * Bounded state: per-partition flow-table occupancy plateaus — the
 //    high-water mark of the full run equals the high-water mark of its
 //    first half, and sits far under table capacity, even though the trace
@@ -55,35 +55,36 @@ std::vector<net::Packet> week_of_traffic(std::size_t packet_count) {
 MonitorReport run_monitor(const perf::Contract& contract,
                           const perf::PcvRegistry& reg,
                           const std::vector<net::Packet>& packets,
-                          std::size_t shards, std::size_t threads,
-                          std::uint64_t epoch_ns) {
+                          std::size_t threads, std::uint64_t epoch_ns,
+                          ir::EngineKind engine = ir::EngineKind::kDecoded) {
   MonitorOptions opts;
   opts.partitions = 4;
-  opts.shards = shards;
   opts.threads = threads;
   opts.epoch_ns = epoch_ns;
-  MonitorEngine engine(contract, reg, opts);
-  return engine.run(packets, MonitorEngine::named_factory("nat"));
+  opts.engine = engine;
+  return MonitorEngine(contract, reg, opts)
+      .run(packets, MonitorEngine::named_factory("nat"));
 }
 
-TEST(MonitorLongRun, ByteIdenticalAtAnyShardAndThreadCount) {
+TEST(MonitorLongRun, ByteIdenticalAtAnyThreadCountAndEngine) {
   perf::PcvRegistry reg;
   const auto result = contract_for("nat", reg);
   const auto packets = week_of_traffic(12000);
 
   std::string baseline;
-  for (const std::size_t shards : {1u, 2u, 8u}) {
+  for (const ir::EngineKind engine :
+       {ir::EngineKind::kDecoded, ir::EngineKind::kReference}) {
     for (const std::size_t threads : {1u, 2u, 8u}) {
       const MonitorReport report = run_monitor(
-          result.contract, reg, packets, shards, threads, 1'000'000'000);
+          result.contract, reg, packets, threads, 1'000'000'000, engine);
       const std::string json = report_to_json(report);
       if (baseline.empty()) {
         baseline = json;
         EXPECT_EQ(report.violations, 0u) << report.str();
         EXPECT_EQ(report.unattributed, 0u) << report.str();
       } else {
-        EXPECT_EQ(json, baseline)
-            << "shards=" << shards << " threads=" << threads;
+        EXPECT_EQ(json, baseline) << "engine=" << static_cast<int>(engine)
+                                  << " threads=" << threads;
       }
     }
   }
@@ -100,9 +101,9 @@ TEST(MonitorLongRun, StateStaysBoundedAndPlateaus) {
                                       full.begin() + full.size() / 2);
 
   const MonitorReport full_report =
-      run_monitor(result.contract, reg, full, 0, 0, 1'000'000'000);
+      run_monitor(result.contract, reg, full, 0, 1'000'000'000);
   const MonitorReport half_report =
-      run_monitor(result.contract, reg, half, 0, 0, 1'000'000'000);
+      run_monitor(result.contract, reg, half, 0, 1'000'000'000);
 
   // The trace holds far more distinct flows than one partition's table
   // could ever store; expiry must keep occupancy bounded...
@@ -138,9 +139,9 @@ TEST(MonitorLongRun, MassExpiryBurstsStayCompliantWithAndWithoutEpochClock) {
   const auto packets = week_of_traffic(8000);
 
   const MonitorReport swept =
-      run_monitor(result.contract, reg, packets, 0, 0, 1'000'000'000);
+      run_monitor(result.contract, reg, packets, 0, 1'000'000'000);
   const MonitorReport inline_expiry =
-      run_monitor(result.contract, reg, packets, 0, 0, 0);
+      run_monitor(result.contract, reg, packets, 0, 0);
 
   EXPECT_EQ(swept.violations, 0u) << swept.str();
   EXPECT_EQ(inline_expiry.violations, 0u) << inline_expiry.str();
@@ -156,8 +157,7 @@ TEST(MonitorLongRun, MassExpiryBurstsStayCompliantWithAndWithoutEpochClock) {
   // Inline mode's expiry happens under the NF's e-term bound: the expire
   // classes must have seen non-trivial utilization without breaking it.
   EXPECT_EQ(report_to_json(inline_expiry),
-            report_to_json(run_monitor(result.contract, reg, packets, 2, 8,
-                                       0)))
+            report_to_json(run_monitor(result.contract, reg, packets, 8, 0)))
       << "inline-expiry mode must be execution-invariant too";
 }
 
@@ -173,10 +173,10 @@ TEST(MonitorLongRun, StoredContractReportIsByteIdentical) {
   perf::PcvRegistry op_reg;
   const perf::Contract stored = perf::contract_from_json(artifact, op_reg);
 
-  const MonitorReport live = run_monitor(result.contract, gen_reg, packets,
-                                         0, 0, 1'000'000'000);
+  const MonitorReport live =
+      run_monitor(result.contract, gen_reg, packets, 0, 1'000'000'000);
   const MonitorReport from_store =
-      run_monitor(stored, op_reg, packets, 0, 0, 1'000'000'000);
+      run_monitor(stored, op_reg, packets, 0, 1'000'000'000);
   EXPECT_EQ(report_to_json(live), report_to_json(from_store));
 }
 

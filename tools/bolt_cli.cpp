@@ -269,14 +269,10 @@ struct MonitorCliArgs {
   std::string report;    // also write the report JSON here
   std::size_t packets = 100'000;
   std::size_t partitions = 8;
-  std::size_t shards = 0;
   std::size_t threads = 0;
   std::uint64_t epoch_ns = 1'000'000'000;
   std::uint64_t violation_threshold = 0;
   std::uint64_t inflate_pct = 0;
-  std::size_t batch = 64;
-  monitor::ShardGrouping grouping = monitor::ShardGrouping::kRoundRobin;
-  bool pipeline = true;
   bool cycles = true;
   bool json = false;
   // Telemetry layer (src/obs/).
@@ -589,11 +585,7 @@ int cmd_monitor(const std::string& nf, const MonitorCliArgs& args) {
 
   monitor::MonitorOptions options;
   options.partitions = args.partitions;
-  options.shards = args.shards;
-  options.grouping = args.grouping;
   options.threads = args.threads;
-  options.batch = args.batch;
-  options.pipeline = args.pipeline;
   options.epoch_ns = args.epoch_ns;
   options.check_cycles = args.cycles;
   // Telemetry layer: --watch and --delta-out imply delta mode at the
@@ -776,7 +768,6 @@ struct AdversaryCliArgs {
   std::uint64_t seed = 1;
   std::size_t probes = 12;
   std::size_t partitions = 8;
-  std::size_t shards = 0;
   std::size_t threads = 0;
   std::uint64_t epoch_ns = 1'000'000'000;
   std::uint64_t min_reached_pct = 1;
@@ -837,7 +828,6 @@ int cmd_adversary(const std::string& nf, const AdversaryCliArgs& args) {
   }
 
   monitor::MonitorOptions mopts;
-  mopts.shards = args.shards;
   mopts.threads = args.threads;
   const adversary::GapReport gap =
       adversary::replay(trace, contract, reg, mopts);
@@ -889,7 +879,6 @@ struct HuntCliArgs {
   std::size_t max_replays = 0;  // minimiser replay cap (0 = uncapped)
   std::size_t probes = 12;
   std::size_t partitions = 8;
-  std::size_t shards = 0;
   std::size_t threads = 0;
   std::uint64_t epoch_ns = 1'000'000'000;
   bool inject_straddle_bug = false;  // test-only measurement fault
@@ -984,7 +973,6 @@ int cmd_hunt(const std::string& nf, const HuntCliArgs& args) {
   opts.adversary.epoch_ns = args.epoch_ns;
   opts.adversary.probes_per_class = args.probes;
   opts.adversary.threads = args.threads;
-  opts.monitor.shards = args.shards;
   opts.monitor.threads = args.threads;
   opts.monitor.inject_straddle_bug = args.inject_straddle_bug;
 
@@ -1193,9 +1181,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--packets") == 0) {
       only_for(is_monitor, "--packets");
       margs.packets = numeric(i, "--packets");
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      only_for(is_monitor || is_adversary || is_hunt, "--shards");
-      margs.shards = aargs.shards = hargs.shards = numeric(i, "--shards");
     } else if (std::strcmp(argv[i], "--partitions") == 0) {
       only_for(is_monitor || is_adversary || is_hunt, "--partitions");
       margs.partitions = aargs.partitions = hargs.partitions =
@@ -1246,25 +1231,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--inflate") == 0) {
       only_for(is_monitor, "--inflate");
       margs.inflate_pct = numeric(i, "--inflate");
-    } else if (std::strcmp(argv[i], "--grouping") == 0) {
-      only_for(is_monitor, "--grouping");
-      if (i + 1 >= argc) return usage();
-      const std::string policy = argv[++i];
-      if (policy == "roundrobin") {
-        margs.grouping = monitor::ShardGrouping::kRoundRobin;
-      } else if (policy == "lqf") {
-        margs.grouping = monitor::ShardGrouping::kLongestQueueFirst;
-      } else {
-        std::fprintf(stderr, "error: bad --grouping value '%s' (roundrobin"
-                     " | lqf)\n", policy.c_str());
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--batch") == 0) {
-      only_for(is_monitor, "--batch");
-      margs.batch = numeric(i, "--batch");
-    } else if (std::strcmp(argv[i], "--no-pipeline") == 0) {
-      only_for(is_monitor, "--no-pipeline");
-      margs.pipeline = false;
     } else if (std::strcmp(argv[i], "--no-cycles") == 0) {
       only_for(is_monitor, "--no-cycles");
       margs.cycles = false;
