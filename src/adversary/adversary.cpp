@@ -5,12 +5,12 @@
 #include <unordered_map>
 
 #include "core/bolt.h"
-#include "core/classkey.h"
 #include "core/scenarios.h"
 #include "core/targets.h"
 #include "dslib/bridge_state.h"
 #include "dslib/lb_state.h"
 #include "dslib/nat_state.h"
+#include "monitor/exec.h"
 #include "monitor/monitor.h"
 #include "net/flow.h"
 #include "net/headers.h"
@@ -34,153 +34,106 @@ using perf::metric_index;
 constexpr std::uint64_t kSearchBudget = 64'000'000;
 
 // ---------------------------------------------------------------------------
-// Shadow: a bit-exact model of the monitor's measurement side. One NF
-// instance per flow-affine partition, advanced in emission order with the
-// same deterministic epoch clock monitor::PartitionExec uses, so the
-// class key and PCVs observed here are exactly what the replay will see.
+// Shadow: the monitor's own measurement core, driven in emission order. One
+// monitor::PartitionExec per flow-affine partition (same NF factory, epoch
+// clock and class resolver the replay runs), so the class and PCVs observed
+// here are exactly what the replay will see. The constructor writes the
+// trace header and class table; commit() appends each packet's plan.
 // ---------------------------------------------------------------------------
+monitor::MonitorOptions shadow_options(const AdversaryOptions& opts) {
+  monitor::MonitorOptions m;
+  m.partitions = std::max<std::size_t>(opts.partitions, 1);
+  m.epoch_ns = opts.epoch_ns;
+  // Cycles never decide a class or a PCV; the plan prices them from the
+  // contract, and the replay measures them.
+  m.check_cycles = false;
+  return m;
+}
+
 class Shadow {
  public:
-  static constexpr std::uint32_t kUnmapped = ~0u;
-
   Shadow(const std::string& nf, const perf::Contract& contract,
-         const perf::PcvRegistry& reg, const AdversaryOptions& opts)
-      : opts_(opts) {
-    for (std::size_t e = 0; e < contract.entries().size(); ++e) {
-      entry_index_.emplace(contract.entries()[e].input_class, e);
+         const perf::PcvRegistry& reg, const AdversaryOptions& opts,
+         AdversarialTrace& trace)
+      : options_(shadow_options(opts)),
+        tables_(contract, reg, options_),
+        trace_(trace) {
+    const monitor::MonitorEngine::TargetFactory factory =
+        monitor::MonitorEngine::named_factory(nf);
+    execs_.reserve(options_.partitions);
+    for (std::size_t p = 0; p < options_.partitions; ++p) {
+      execs_.push_back(
+          std::make_unique<monitor::PartitionExec>(tables_, options_, factory));
     }
-    partitions_.reserve(opts.partitions);
-    for (std::size_t p = 0; p < opts.partitions; ++p) {
-      auto part = std::make_unique<Partition>();
-      BOLT_CHECK(core::make_named_target(nf, part->local_reg, part->target),
-                 "adversary: unknown target '" + nf + "'");
-      part->pcv_slot.assign(part->local_reg.size(), kUnmapped);
-      for (const perf::PcvId id : part->local_reg.all()) {
-        const std::string& name = part->local_reg.name(id);
-        if (reg.contains(name)) part->pcv_slot[id] = reg.require(name);
-      }
-      part->runner = part->target.make_runner(opts.framework, nullptr);
-      // Flat loop slot -> contract slot of the PCV named after the loop.
-      ir::RunLabels& labels = part->runner->labels();
-      part->loop_slot.assign(labels.loop_count(), kUnmapped);
-      for (std::size_t flat = 0; flat < labels.loop_count(); ++flat) {
-        const std::string& name = labels.loop_name(flat);
-        if (reg.contains(name)) part->loop_slot[flat] = reg.require(name);
-      }
-      partitions_.push_back(std::move(part));
+    trace_.nf = nf;
+    trace_.contract_nf = contract.nf_name();
+    trace_.seed = opts.seed;
+    trace_.partitions = options_.partitions;
+    trace_.epoch_ns = opts.epoch_ns;
+    trace_.classes.resize(tables_.entry_names.size());
+    for (std::size_t e = 0; e < trace_.classes.size(); ++e) {
+      trace_.classes[e].input_class = tables_.entry_names[e];
     }
   }
-
-  struct Outcome {
-    std::uint32_t entry = kNoEntry;
-    std::string class_key;
-    perf::PcvBinding pcvs;   ///< contract-registry ids
-    net::Packet processed;   ///< post-NF bytes (rewrites readable)
-    net::NfVerdict verdict = net::NfVerdict::kDrop;
-    std::uint64_t out_port = 0;
-  };
 
   std::size_t partition_of(const net::Packet& p) const {
-    return monitor::partition_of(p, opts_.partitions);
+    return monitor::partition_of(p, options_.partitions);
   }
 
-  /// Processes `p` in its partition and COMMITS the state change — every
-  /// committed packet must become part of the trace, or shadow and replay
-  /// state histories diverge.
-  Outcome commit(const net::Packet& p) {
-    Partition& part = *partitions_[partition_of(p)];
-    if (opts_.epoch_ns > 0 && part.target.has_state_observers()) {
-      const std::uint64_t epoch = p.timestamp_ns() / opts_.epoch_ns;
-      if (!part.have_epoch) {
-        part.have_epoch = true;
-        part.epoch = epoch;
-      } else if (epoch > part.epoch) {
-        part.target.expire_state(epoch * opts_.epoch_ns);
-        part.epoch = epoch;
-      }
-    }
-
-    Outcome out;
-    out.processed = p;
-    const ir::RunResult run = part.runner->process(out.processed);
-    out.verdict = run.verdict;
-    out.out_port = run.out_port;
-
-    out.class_key = core::class_key_of(run, &part.target.methods());
-    const auto entry_it = entry_index_.find(out.class_key);
-    if (entry_it != entry_index_.end()) {
-      out.entry = static_cast<std::uint32_t>(entry_it->second);
-    }
-
-    for (const auto& [id, value] : run.pcvs.values()) {
-      if (id < part.pcv_slot.size() && part.pcv_slot[id] != kUnmapped) {
-        out.pcvs.set(part.pcv_slot[id], value);
-      }
-    }
-    for (std::size_t flat = 0; flat < run.loop_trips.size(); ++flat) {
-      const std::uint64_t trips = run.loop_trips[flat];
-      if (trips != 0 && part.loop_slot[flat] != kUnmapped) {
-        out.pcvs.set(part.loop_slot[flat], trips);
-      }
-    }
-    return out;
-  }
-
-  core::NfTarget& target(std::size_t partition) {
-    return partitions_[partition]->target;
-  }
-
- private:
-  struct Partition {
-    perf::PcvRegistry local_reg;
-    core::NfTarget target;
-    std::vector<std::uint32_t> pcv_slot;
-    std::vector<std::uint32_t> loop_slot;  ///< by flat loop index
-    std::unique_ptr<core::NfRunner> runner;
-    bool have_epoch = false;
-    std::uint64_t epoch = 0;
-  };
-
-  AdversaryOptions opts_;
-  std::vector<std::unique_ptr<Partition>> partitions_;
-  std::unordered_map<std::string, std::size_t> entry_index_;
-};
-
-// ---------------------------------------------------------------------------
-// Emitter: owns the trace under construction, the packet clock, and the
-// per-class bookkeeping. emit() = commit to the shadow + append to the
-// trace + record the observed attribution and the bound at the observed
-// PCVs. There is deliberately no "try without committing": every processed
-// packet ships.
-// ---------------------------------------------------------------------------
-class Emitter {
- public:
-  Emitter(Shadow& shadow, const perf::Contract& contract,
-          AdversarialTrace& trace, const AdversaryOptions& opts)
-      : shadow_(shadow),
-        contract_(contract),
-        trace_(trace),
-        opts_(opts),
-        clock_(opts.start_ns) {}
-
-  Shadow::Outcome emit(net::Packet p) {
-    p.set_timestamp_ns(clock_);
-    clock_ += opts_.gap_ns;
-    Shadow::Outcome out = shadow_.commit(p);
+  /// Runs `p` in its partition, COMMITS the state change and appends the
+  /// packet's plan: the entry it lands in and the contract's bounds at the
+  /// PCVs it induced. Every committed packet must become part of the trace,
+  /// or shadow and replay state histories diverge.
+  const monitor::PartitionExec& commit(const net::Packet& p) {
+    monitor::PartitionExec& exec = *execs_[partition_of(p)];
     PacketPlan plan;
-    plan.entry = out.entry;
-    if (out.entry != kNoEntry) {
-      const perf::ContractEntry& entry = contract_.entries()[out.entry];
+    plan.entry = exec.step(p, trace_.plans.size(), totals_, nullptr);
+    if (plan.entry != kNoEntry) {
+      row_.rows = 0;
+      exec.append_row(row_, 0);
       for (const Metric m : kAllMetrics) {
-        plan.predicted[metric_index(m)] = entry.perf.get(m).eval(out.pcvs);
+        const int mi = metric_index(m);
+        plan.predicted[mi] =
+            tables_.bounds[plan.entry][mi].eval_slots(row_.slots.data());
       }
-      ClassPlan& cp = trace_.classes[out.entry];
+      ClassPlan& cp = trace_.classes[plan.entry];
       ++cp.packets;
       cp.reached = true;
     }
-    trace_.packets.push_back(std::move(p));
     trace_.plans.push_back(plan);
-    return out;
+    return exec;
+  }
+
+  const core::NfTarget& target(std::size_t partition) const {
+    return execs_[partition]->target();
+  }
+  AdversarialTrace& trace() { return trace_; }
+
+ private:
+  monitor::MonitorOptions options_;
+  monitor::ContractTables tables_;
+  AdversarialTrace& trace_;
+  std::vector<std::unique_ptr<monitor::PartitionExec>> execs_;
+  monitor::RunTotals totals_;  ///< sweep counters; the plan does not use them
+  monitor::RowBlock row_;      ///< one-row scratch for the bound evaluation
+};
+
+// ---------------------------------------------------------------------------
+// Emitter: the packet clock and the per-class notes. emit() = stamp +
+// append to the trace + commit to the shadow. There is deliberately no
+// "try without committing": every processed packet ships.
+// ---------------------------------------------------------------------------
+class Emitter {
+ public:
+  Emitter(Shadow& shadow, const AdversaryOptions& opts)
+      : shadow_(shadow), opts_(opts), clock_(opts.start_ns) {}
+
+  const monitor::PartitionExec& emit(net::Packet p) {
+    p.set_timestamp_ns(clock_);
+    clock_ += opts_.gap_ns;
+    std::vector<net::Packet>& packets = shadow_.trace().packets;
+    packets.push_back(std::move(p));
+    return shadow_.commit(packets.back());
   }
 
   /// Jumps the packet clock forward (heartbeat-silence gaps etc.). Time
@@ -188,12 +141,13 @@ class Emitter {
   void advance_clock(std::uint64_t ns) { clock_ += ns; }
 
   void note(std::uint32_t entry, const std::string& text) {
-    if (entry < trace_.classes.size() && trace_.classes[entry].note.empty()) {
-      trace_.classes[entry].note = text;
+    std::vector<ClassPlan>& classes = shadow_.trace().classes;
+    if (entry < classes.size() && classes[entry].note.empty()) {
+      classes[entry].note = text;
     }
   }
   void note_class(const std::string& input_class, const std::string& text) {
-    for (ClassPlan& cp : trace_.classes) {
+    for (ClassPlan& cp : shadow_.trace().classes) {
       if (cp.input_class == input_class && cp.note.empty()) cp.note = text;
     }
   }
@@ -203,9 +157,7 @@ class Emitter {
 
  private:
   Shadow& shadow_;
-  const perf::Contract& contract_;
-  AdversarialTrace& trace_;
-  AdversaryOptions opts_;
+  const AdversaryOptions& opts_;
   net::TimestampNs clock_;
 };
 
@@ -402,14 +354,18 @@ void drive_nat(Emitter& em, const AdversaryOptions& opts,
                                               predicted_port)) == home;
       });
   const net::FiveTuple fwd_tuple = net::tuple_for_index(pair_index, true);
-  const auto fwd_out = em.emit(internal_packet(pair_index));  // internal_new
+  // Read the verdict and the allocated external port off the translated
+  // packet itself, before the next emit reuses the partition's scratch.
+  const monitor::PartitionExec& fwd =
+      em.emit(internal_packet(pair_index));  // internal_new
+  const bool forwarded = fwd.last_run().verdict == net::NfVerdict::kForward;
+  const std::uint16_t ext_port =
+      forwarded ? net::load_be16(fwd.last_packet().bytes(), nf::kOffL4Src)
+                : 0;
   for (std::size_t i = 0; i < em.probes(); ++i) {
     em.emit(internal_packet(pair_index));  // internal_known
   }
-  // Read the allocated external port off the translated packet itself.
-  if (fwd_out.verdict == net::NfVerdict::kForward) {
-    const std::uint16_t ext_port =
-        net::load_be16(fwd_out.processed.bytes(), nf::kOffL4Src);
+  if (forwarded) {
     const net::Packet rev = reverse_packet(fwd_tuple, ext_port);
     if (sh.partition_of(rev) == home) {
       for (std::size_t i = 0; i <= em.probes(); ++i) {
@@ -641,19 +597,6 @@ AdversarialTrace adversarial_traffic(
   AdversaryOptions opts = options;
   if (opts.partitions == 0) opts.partitions = 1;
 
-  AdversarialTrace trace;
-  trace.nf = nf_name;
-  trace.contract_nf = contract.nf_name();
-  trace.seed = opts.seed;
-  trace.partitions = opts.partitions;
-  trace.epoch_ns = opts.epoch_ns;
-  trace.classes.reserve(contract.entries().size());
-  for (const perf::ContractEntry& entry : contract.entries()) {
-    ClassPlan cp;
-    cp.input_class = entry.input_class;
-    trace.classes.push_back(std::move(cp));
-  }
-
   // Witness side: reuse the caller's path reports when it already ran the
   // generator, else (re)generate in-process — the stored artifact carries
   // bounds, not witnesses. Either way, cross-check that the contract names
@@ -676,8 +619,9 @@ AdversarialTrace adversarial_traffic(
   }
   const auto witnesses = witness_map(*path_reports);
 
-  Shadow shadow(nf_name, contract, reg, opts);
-  Emitter emitter(shadow, contract, trace, opts);
+  AdversarialTrace trace;
+  Shadow shadow(nf_name, contract, reg, opts, trace);
+  Emitter emitter(shadow, opts);
 
   if (nf_name == "bridge") {
     drive_bridge(emitter, opts);
@@ -706,40 +650,11 @@ AdversarialTrace plan_packets(const std::string& nf_name,
                               const perf::PcvRegistry& reg,
                               std::vector<net::Packet> packets,
                               const AdversaryOptions& options) {
-  AdversaryOptions opts = options;
-  if (opts.partitions == 0) opts.partitions = 1;
-
   AdversarialTrace trace;
-  trace.nf = nf_name;
-  trace.contract_nf = contract.nf_name();
-  trace.seed = opts.seed;
-  trace.partitions = opts.partitions;
-  trace.epoch_ns = opts.epoch_ns;
-  trace.classes.reserve(contract.entries().size());
-  for (const perf::ContractEntry& entry : contract.entries()) {
-    ClassPlan cp;
-    cp.input_class = entry.input_class;
-    trace.classes.push_back(std::move(cp));
-  }
-
-  Shadow shadow(nf_name, contract, reg, opts);
+  Shadow shadow(nf_name, contract, reg, options, trace);
   trace.packets = std::move(packets);
   trace.plans.reserve(trace.packets.size());
-  for (const net::Packet& p : trace.packets) {
-    const Shadow::Outcome out = shadow.commit(p);
-    PacketPlan plan;
-    plan.entry = out.entry;
-    if (out.entry != kNoEntry) {
-      const perf::ContractEntry& entry = contract.entries()[out.entry];
-      for (const Metric m : kAllMetrics) {
-        plan.predicted[metric_index(m)] = entry.perf.get(m).eval(out.pcvs);
-      }
-      ClassPlan& cp = trace.classes[out.entry];
-      ++cp.packets;
-      cp.reached = true;
-    }
-    trace.plans.push_back(plan);
-  }
+  for (const net::Packet& p : trace.packets) shadow.commit(p);
   for (ClassPlan& cp : trace.classes) {
     if (!cp.reached && cp.note.empty()) cp.note = "not exercised by this trace";
   }

@@ -12,15 +12,17 @@
 // heartbeat-miss storms that kill every Maglev backend — so the probe
 // packet actually lands in the class it targets.
 //
-// The synthesiser drives a *shadow* of the monitor's measurement side: one
-// NF instance per flow-affine partition, advanced packet by packet with the
-// same deterministic epoch clock MonitorEngine uses. Every emitted packet
-// is committed to the shadow, so its attribution (the class the monitor
-// will observe) and its predicted per-metric bound (the contract evaluated
-// at the shadow-observed PCVs) are *facts about the replay*, not hopes:
-// replaying the trace through MonitorEngine must reproduce the plan's
-// attribution packet-for-packet (adversary/report.h closes that loop and
-// reports the gaps).
+// The synthesiser drives a *shadow* that is the monitor's own measurement
+// core: one monitor::PartitionExec per flow-affine partition, built from
+// the same target factory and contract tables, advanced packet by packet
+// on the same deterministic epoch clock. Every emitted packet is committed
+// to the shadow, so its attribution (the class the monitor will observe)
+// and its predicted per-metric bound (the contract's compiled bounds
+// evaluated at the PCVs it induced) are *facts about the replay*, not
+// hopes: replaying the trace through MonitorEngine must reproduce the
+// plan's attribution packet-for-packet (adversary/report.h closes that
+// loop and reports the gaps). Synthesis (adversarial_traffic) and
+// re-planning (plan_packets) share that one planner.
 //
 // Everything is deterministic in AdversaryOptions::seed: the same options
 // produce byte-identical traces, and replay reports are byte-identical at
@@ -34,7 +36,6 @@
 
 #include "core/bolt.h"
 #include "net/packet.h"
-#include "nf/framework.h"
 #include "perf/contract.h"
 #include "perf/pcv.h"
 
@@ -53,11 +54,9 @@ struct AdversaryOptions {
   /// attacker's version of hitting one RSS queue), so the partition count
   /// decides which flows can share history.
   std::size_t partitions = 8;
-  /// Deterministic epoch clock mirrored into the shadow (must match the
-  /// replay's MonitorOptions::epoch_ns).
+  /// Deterministic epoch clock of the shadow (must match the replay's
+  /// MonitorOptions::epoch_ns).
   std::uint64_t epoch_ns = 1'000'000'000;
-  /// Measurement-side framework costs (mirrors MonitorOptions::framework).
-  nf::FrameworkCosts framework = nf::framework_full();
   /// Steady-state probe packets emitted per targeted class on top of the
   /// packets that set its state up.
   std::size_t probes_per_class = 12;

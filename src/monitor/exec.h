@@ -4,7 +4,10 @@
 // instance — run packets through exactly this code, so "a daemon drained
 // by SIGTERM reports what a batch run would have" and "a merged fleet
 // reports what one monitor would have" hold by construction, not by
-// keeping parallel copies in step.
+// keeping parallel copies in step. The adversary's shadow
+// (adversary/adversary.cpp) is the third caller: it plans each synthesised
+// packet with one PartitionExec per partition, so the class and bound it
+// plans are the ones the replay will observe.
 //
 // The model is the paper's: one packet processed to completion by one NF
 // instance. A partition is a flow-affine sub-stream with its own NF
@@ -97,6 +100,13 @@ class PartitionExec {
   bool tracks_state() const { return track_state_; }
   /// Current state occupancy (end-of-run residents).
   std::uint64_t occupancy() const { return target_.state_occupancy(); }
+
+  /// The last step's packet as the NF left it (header rewrites readable),
+  /// its run result (verdict, out port) and the partition's NF instance.
+  /// The adversary's shadow reads these to steer its next packet.
+  const net::Packet& last_packet() const { return scratch_pkt_; }
+  const ir::RunResult& last_run() const { return run_; }
+  const core::NfTarget& target() const { return target_; }
 
  private:
   static constexpr std::uint32_t kUnmapped = ~0u;

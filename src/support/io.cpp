@@ -19,16 +19,21 @@ bool write_file(const std::string& path, const std::string& content) {
   return true;
 }
 
-std::string read_file_or_die(const std::string& path, const std::string& what) {
+bool read_file(const std::string& path, std::string* out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
-  BOLT_CHECK(f != nullptr, "cannot open " + what + " '" + path + "'");
-  std::string out;
+  if (f == nullptr) return false;
+  out->clear();
   char buf[4096];
   std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out->append(buf, n);
   const bool read_error = std::ferror(f) != 0;
   std::fclose(f);
-  BOLT_CHECK(!read_error, "I/O error reading " + what + " '" + path + "'");
+  return !read_error;
+}
+
+std::string read_file_or_die(const std::string& path, const std::string& what) {
+  std::string out;
+  BOLT_CHECK(read_file(path, &out), "cannot open " + what + " '" + path + "'");
   BOLT_CHECK(!out.empty(), "empty " + what + " '" + path +
                                "' (truncated write?)");
   return out;

@@ -11,6 +11,10 @@ namespace bolt::support {
 /// must never find a truncated file where a valid one is expected.
 bool write_file(const std::string& path, const std::string& content);
 
+/// Reads the whole file into `*out`. Returns false when the file cannot be
+/// opened or read; an empty file reads as empty content.
+bool read_file(const std::string& path, std::string* out);
+
 /// Reads the whole file. Aborts on a missing file, a read error, or an
 /// empty file (`what` names the artifact kind in the message — a zero-byte
 /// artifact is always a truncated write, never valid input).

@@ -57,6 +57,23 @@ Loop run_loop(const std::string& nf, const AdversaryOptions& opts) {
   return loop;
 }
 
+/// Two traces planned the same packets identically: per packet the entry
+/// and the predicted bounds, per class the packet count and reach.
+void expect_same_plans(const AdversarialTrace& a, const AdversarialTrace& b) {
+  ASSERT_EQ(a.plans.size(), b.plans.size());
+  for (std::size_t i = 0; i < a.plans.size(); ++i) {
+    EXPECT_EQ(a.plans[i].entry, b.plans[i].entry) << "packet " << i;
+    EXPECT_EQ(a.plans[i].predicted, b.plans[i].predicted) << "packet " << i;
+  }
+  ASSERT_EQ(a.classes.size(), b.classes.size());
+  for (std::size_t e = 0; e < a.classes.size(); ++e) {
+    EXPECT_EQ(a.classes[e].packets, b.classes[e].packets)
+        << a.classes[e].input_class;
+    EXPECT_EQ(a.classes[e].reached, b.classes[e].reached)
+        << a.classes[e].input_class;
+  }
+}
+
 std::string joined(const std::vector<std::string>& names) {
   std::string out;
   for (const std::string& n : names) out += "\n  " + n;
@@ -139,6 +156,16 @@ TEST_P(AdversaryLoop, ReplayReportsAreIdenticalAtAnyThreadCountAndEngine) {
   }
 }
 
+TEST_P(AdversaryLoop, ReplanningReproducesTheSynthesisedPlans) {
+  // Synthesis and re-planning share one planner: the synthesised packets,
+  // re-planned through a fresh shadow, get back exactly their plans.
+  const Loop loop = run_loop(GetParam(), small_options());
+  const AdversarialTrace replanned =
+      plan_packets(GetParam(), loop.contract, loop.reg, loop.trace.packets,
+                   small_options());
+  expect_same_plans(replanned, loop.trace);
+}
+
 INSTANTIATE_TEST_SUITE_P(ReferenceNfs, AdversaryLoop,
                          ::testing::Values("bridge", "nat", "lb", "lpm"),
                          [](const auto& info) {
@@ -147,7 +174,8 @@ INSTANTIATE_TEST_SUITE_P(ReferenceNfs, AdversaryLoop,
 
 TEST(AdversaryLoopWide, AllNamedTargetsSynthesizeAndClose) {
   // Beyond the reference four: every registered target must survive the
-  // loop with full attribution agreement and nonzero coverage.
+  // loop with full attribution agreement and nonzero coverage, and
+  // re-planning its trace must give back the synthesised plans.
   for (const char* const nf :
        {"nat-b", "lpm-simple", "firewall", "router", "fw+router"}) {
     SCOPED_TRACE(nf);
@@ -155,6 +183,9 @@ TEST(AdversaryLoopWide, AllNamedTargetsSynthesizeAndClose) {
     EXPECT_GT(loop.gap.classes_reached, 0u);
     EXPECT_EQ(loop.gap.mismatched, 0u);
     EXPECT_EQ(loop.gap.monitor.violations, 0u);
+    expect_same_plans(plan_packets(nf, loop.contract, loop.reg,
+                                   loop.trace.packets, small_options()),
+                      loop.trace);
   }
 }
 
@@ -169,6 +200,12 @@ TEST(AdversaryStoredContract, StoredArtifactDrivesTheSameLoop) {
   const GapReport gap = replay(trace, stored, reg);
   EXPECT_EQ(gap.classes_reached, gap.classes_total);
   EXPECT_EQ(gap.mismatched, 0u);
+  // The golden artifact is the generated nat contract, so bounds compiled
+  // from the stored file plan every packet exactly as the generated ones.
+  const Loop generated = run_loop("nat", small_options());
+  EXPECT_EQ(net::serialize_pcap(trace.packets),
+            net::serialize_pcap(generated.trace.packets));
+  expect_same_plans(trace, generated.trace);
 }
 
 TEST(AdversaryTraceIo, TracePairRoundTripsThroughDisk) {

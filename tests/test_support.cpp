@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "support/io.h"
 #include "support/random.h"
 #include "support/strings.h"
 
@@ -86,6 +87,21 @@ TEST(Strings, RenderTableAligns) {
   EXPECT_NE(t.find("h1"), std::string::npos);
   EXPECT_NE(t.find("long-cell"), std::string::npos);
   EXPECT_NE(t.find("---"), std::string::npos);
+}
+
+TEST(Io, ReadFileReportsFailureInsteadOfDying) {
+  // The CLI turns a missing or empty --contract into exit 2; only the
+  // *_or_die variant may abort.
+  std::string text = "stale";
+  EXPECT_FALSE(read_file(::testing::TempDir() + "/no_such_file.json", &text));
+  const std::string path = ::testing::TempDir() + "/read_file_test.txt";
+  ASSERT_TRUE(write_file(path, ""));
+  EXPECT_TRUE(read_file(path, &text));
+  EXPECT_TRUE(text.empty());
+  ASSERT_TRUE(write_file(path, "abc\n"));
+  EXPECT_TRUE(read_file(path, &text));
+  EXPECT_EQ(text, "abc\n");
+  EXPECT_EQ(read_file_or_die(path, "test file"), "abc\n");
 }
 
 }  // namespace

@@ -262,6 +262,49 @@ std::vector<net::Packet> monitor_workload(const std::string& nf,
   return {};
 }
 
+/// The contract a subcommand checks traffic against: the stored artifact at
+/// `path` (operator mode: no symbolic execution), or, with an empty path,
+/// one generated in-process (developer mode: `*generated` then also holds
+/// the path reports, which double as the adversary's witnesses). Returns 0,
+/// or the exit code after printing why: 2 for an unknown target, an
+/// unreadable or empty artifact, or an artifact generated for another NF.
+/// Malformed artifact content still aborts in perf::contract_from_json.
+int acquire_contract(const std::string& nf, const std::string& path,
+                     std::size_t threads, perf::PcvRegistry& reg,
+                     perf::Contract& contract,
+                     core::GenerationResult* generated) {
+  // A stored artifact brings its own PCVs; the target is only the
+  // cross-check, so it interns into a registry of its own.
+  perf::PcvRegistry target_reg;
+  core::NfTarget target;
+  if (!core::make_named_target(nf, path.empty() ? reg : target_reg, target)) {
+    return usage();
+  }
+  if (path.empty()) {
+    core::BoltOptions options;
+    options.threads = threads;
+    core::ContractGenerator generator(reg, options);
+    *generated = generator.generate(target.analysis());
+    contract = generated->contract;
+    return 0;
+  }
+  std::string text;
+  if (!support::read_file(path, &text) || text.empty()) {
+    std::fprintf(stderr, "error: cannot read contract '%s'\n", path.c_str());
+    return 2;
+  }
+  contract = perf::contract_from_json(text, reg);
+  if (contract.nf_name() != target.contract_name()) {
+    std::fprintf(stderr,
+                 "error: contract '%s' was generated for nf '%s', not "
+                 "'%s'\n",
+                 path.c_str(), contract.nf_name().c_str(),
+                 target.contract_name().c_str());
+    return 2;
+  }
+  return 0;
+}
+
 struct MonitorCliArgs {
   std::string workload;  // empty = target default
   std::string pcap;      // overrides workload when set
@@ -308,6 +351,104 @@ bool write_metrics_file(const MonitorCliArgs& args,
     return false;
   }
   return true;
+}
+
+/// Report outputs shared by 'monitor' (batch + streaming) and 'merge': the
+/// --metrics-out snapshot, the --report file, then the report on stdout —
+/// one JSON line with --json, else its text unless --watch keeps stdout a
+/// pure JSONL stream. Returns false after printing the error when a file
+/// cannot be written (support::write_file never leaves a truncated report
+/// behind for CI to archive as valid).
+bool write_report_outputs(const MonitorCliArgs& args,
+                          const monitor::MonitorReport& report,
+                          const obs::MonitorTelemetry& tel) {
+  if (!args.metrics_out.empty() && !write_metrics_file(args, tel, report.nf)) {
+    return false;
+  }
+  if (!args.report.empty() &&
+      !support::write_file(args.report,
+                           monitor::report_to_json(report) + "\n")) {
+    std::fprintf(stderr, "error: cannot write report to '%s'\n",
+                 args.report.c_str());
+    return false;
+  }
+  if (args.json) {
+    std::printf("%s\n", monitor::report_to_json(report).c_str());
+  } else if (!args.watch) {
+    std::printf("%s", report.str().c_str());
+  }
+  return true;
+}
+
+/// The monitor's throughput footer under the text report.
+void print_throughput(const MonitorCliArgs& args, std::uint64_t packets,
+                      double elapsed_ms) {
+  if (args.json || args.watch) return;
+  const double pps = elapsed_ms > 0.0
+                         ? static_cast<double>(packets) / (elapsed_ms / 1000.0)
+                         : 0.0;
+  std::printf("\nprocessed %llu packets in %.1f ms (%.2f Mpps)\n",
+              static_cast<unsigned long long>(packets), elapsed_ms,
+              pps / 1e6);
+}
+
+/// The delta stream: one JSON line per window, written and flushed per line
+/// — to stdout in --watch mode (the tail-able operator view), to the
+/// --delta-out file, or both. A reader tailing either stream only ever sees
+/// complete JSON lines.
+class DeltaSink {
+ public:
+  explicit DeltaSink(const MonitorCliArgs& args) : args_(args) {}
+  ~DeltaSink() {
+    if (file_ != nullptr) std::fclose(file_);
+  }
+  DeltaSink(const DeltaSink&) = delete;
+  DeltaSink& operator=(const DeltaSink&) = delete;
+
+  bool open() {
+    if (args_.delta_out.empty()) return true;
+    file_ = std::fopen(args_.delta_out.c_str(), "wb");
+    return file_ != nullptr || fail();
+  }
+  void put(const obs::DeltaWindow& window) {
+    const std::string line = obs::delta_window_to_json(window) + "\n";
+    if (args_.watch) {
+      std::fputs(line.c_str(), stdout);
+      std::fflush(stdout);
+    }
+    if (file_ != nullptr) {
+      std::fputs(line.c_str(), file_);
+      std::fflush(file_);
+    }
+  }
+  bool close() {
+    if (file_ == nullptr) return true;
+    const bool ok = std::fclose(file_) == 0;
+    file_ = nullptr;
+    return ok || fail();
+  }
+
+ private:
+  bool fail() const {
+    std::fprintf(stderr, "error: cannot write delta stream to '%s'\n",
+                 args_.delta_out.c_str());
+    return false;
+  }
+
+  const MonitorCliArgs& args_;
+  std::FILE* file_ = nullptr;
+};
+
+/// Output tail of batch 'monitor' and 'merge': the whole delta stream, then
+/// the report outputs.
+bool write_batch_outputs(const MonitorCliArgs& args,
+                         const monitor::MonitorReport& report,
+                         const obs::RunObservations& observations) {
+  DeltaSink deltas(args);
+  if (!deltas.open()) return false;
+  for (const obs::DeltaWindow& w : observations.deltas) deltas.put(w);
+  return deltas.close() &&
+         write_report_outputs(args, report, observations.telemetry);
 }
 
 /// Shared gate tail for 'monitor' (batch + streaming) and 'merge': exit 1
@@ -363,15 +504,8 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
     }
   }
 
-  std::FILE* delta_file = nullptr;
-  if (!args.delta_out.empty()) {
-    delta_file = std::fopen(args.delta_out.c_str(), "wb");
-    if (delta_file == nullptr) {
-      std::fprintf(stderr, "error: cannot write delta stream to '%s'\n",
-                   args.delta_out.c_str());
-      return 1;
-    }
-  }
+  DeltaSink deltas(args);
+  if (!deltas.open()) return 1;
 
   // Contract entry names in contract order — same layout entry_names()
   // reports, available before the monitor exists (the callback needs them).
@@ -383,19 +517,8 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
   bool spool_write_failed = false;
   auto on_window = [&](const monitor::ClosedWindow& cw) {
     // Delta lines are authoritative-only (a provisional flush has no drift
-    // pass and would duplicate the window); each line is flushed whole so
-    // a tail -f never sees a torn JSON object.
-    if (cw.has_delta && !cw.provisional) {
-      const std::string line = obs::delta_window_to_json(cw.delta) + "\n";
-      if (args.watch) {
-        std::fputs(line.c_str(), stdout);
-        std::fflush(stdout);
-      }
-      if (delta_file != nullptr) {
-        std::fputs(line.c_str(), delta_file);
-        std::fflush(delta_file);
-      }
-    }
+    // pass and would duplicate the window).
+    if (cw.has_delta && !cw.provisional) deltas.put(cw.delta);
     // Spool partials upsert by filename: a provisional emission is
     // overwritten by the authoritative close of the same window.
     if (!args.spool.empty() && cw.stats->packets > 0) {
@@ -480,11 +603,7 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
   const double elapsed_ms = timer.elapsed_ms();
   const std::uint64_t fed = sm.packets_fed();
 
-  if (delta_file != nullptr && std::fclose(delta_file) != 0) {
-    std::fprintf(stderr, "error: cannot write delta stream to '%s'\n",
-                 args.delta_out.c_str());
-    return 1;
-  }
+  if (!deltas.close()) return 1;
   if (!args.spool.empty()) {
     obs::FinalPartial fp;
     fp.nf = contract.nf_name();
@@ -507,28 +626,11 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
       spool_write_failed = true;
     }
   }
-  if (!args.metrics_out.empty() &&
-      !write_metrics_file(args, result.observations.telemetry,
-                          result.report.nf)) {
+  if (!write_report_outputs(args, result.report,
+                            result.observations.telemetry)) {
     return 1;
   }
-  if (!args.report.empty() &&
-      !support::write_file(args.report,
-                           monitor::report_to_json(result.report) + "\n")) {
-    std::fprintf(stderr, "error: cannot write report to '%s'\n",
-                 args.report.c_str());
-    return 1;
-  }
-  if (args.json) {
-    std::printf("%s\n", monitor::report_to_json(result.report).c_str());
-  } else if (!args.watch) {
-    std::printf("%s", result.report.str().c_str());
-    const double pps = elapsed_ms > 0.0
-                           ? static_cast<double>(fed) / (elapsed_ms / 1000.0)
-                           : 0.0;
-    std::printf("\nprocessed %llu packets in %.1f ms (%.2f Mpps)\n",
-                static_cast<unsigned long long>(fed), elapsed_ms, pps / 1e6);
-  }
+  print_throughput(args, fed, elapsed_ms);
   if (spool_write_failed) return 1;
   return monitor_exit_code(result.report, args.violation_threshold,
                            result.observations.alerts.size());
@@ -537,30 +639,10 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
 int cmd_monitor(const std::string& nf, const MonitorCliArgs& args) {
   perf::PcvRegistry reg;
   perf::Contract contract("");
-
-  if (!args.contract.empty()) {
-    // Operator mode: validate against the stored artifact. No generation,
-    // no symbolic execution — the target is only instantiated per
-    // partition for concrete measurement. Sanity-check that the artifact
-    // was generated for the target we're about to run.
-    core::NfTarget probe;
-    perf::PcvRegistry probe_reg;
-    if (!core::make_named_target(nf, probe_reg, probe)) return usage();
-    contract = perf::load_contract(args.contract, reg);
-    if (contract.nf_name() != probe.contract_name()) {
-      std::fprintf(stderr,
-                   "error: contract '%s' was generated for nf '%s', not "
-                   "'%s'\n",
-                   args.contract.c_str(), contract.nf_name().c_str(),
-                   probe.contract_name().c_str());
-      return 2;
-    }
-  } else {
-    // Developer mode: regenerate the artifact in-process.
-    core::NfTarget target;
-    if (!core::make_named_target(nf, reg, target)) return usage();
-    core::ContractGenerator generator(reg);
-    contract = generator.generate(target.analysis()).contract;
+  core::GenerationResult generated;
+  if (const int rc = acquire_contract(nf, args.contract, args.threads, reg,
+                                      contract, &generated)) {
+    return rc;
   }
 
   if (args.follow && args.pcap.empty()) {
@@ -625,62 +707,8 @@ int cmd_monitor(const std::string& nf, const MonitorCliArgs& args) {
                  want_obs ? &observations : nullptr);
   const double elapsed_ms = timer.elapsed_ms();
 
-  // Delta stream: one JSON line per window, written and flushed per line —
-  // stdout in watch mode (the tail-able operator view), a file via
-  // --delta-out, or both. A reader tailing either stream only ever sees
-  // complete JSON lines, exactly as in --follow mode.
-  std::FILE* delta_file = nullptr;
-  if (!args.delta_out.empty()) {
-    delta_file = std::fopen(args.delta_out.c_str(), "wb");
-    if (delta_file == nullptr) {
-      std::fprintf(stderr, "error: cannot write delta stream to '%s'\n",
-                   args.delta_out.c_str());
-      return 1;
-    }
-  }
-  for (const obs::DeltaWindow& w : observations.deltas) {
-    const std::string line = obs::delta_window_to_json(w) + "\n";
-    if (args.watch) {
-      std::fputs(line.c_str(), stdout);
-      std::fflush(stdout);
-    }
-    if (delta_file != nullptr) {
-      std::fputs(line.c_str(), delta_file);
-      std::fflush(delta_file);
-    }
-  }
-  if (delta_file != nullptr && std::fclose(delta_file) != 0) {
-    std::fprintf(stderr, "error: cannot write delta stream to '%s'\n",
-                 args.delta_out.c_str());
-    return 1;
-  }
-  if (!args.metrics_out.empty() &&
-      !write_metrics_file(args, observations.telemetry, report.nf)) {
-    return 1;
-  }
-
-  // Never leave a truncated report behind for CI to archive as valid
-  // (support::write_file removes the file on a failed or short write).
-  if (!args.report.empty() &&
-      !support::write_file(args.report,
-                           monitor::report_to_json(report) + "\n")) {
-    std::fprintf(stderr, "error: cannot write report to '%s'\n",
-                 args.report.c_str());
-    return 1;
-  }
-  if (args.json) {
-    std::printf("%s\n", monitor::report_to_json(report).c_str());
-  } else if (!args.watch) {
-    // Watch mode keeps stdout a pure JSONL stream (the deltas above);
-    // --json appends the report as one more JSON line.
-    std::printf("%s", report.str().c_str());
-    const double pps = elapsed_ms > 0.0
-                           ? static_cast<double>(packets.size()) /
-                                 (elapsed_ms / 1000.0)
-                           : 0.0;
-    std::printf("\nprocessed %zu packets in %.1f ms (%.2f Mpps)\n",
-                packets.size(), elapsed_ms, pps / 1e6);
-  }
+  if (!write_batch_outputs(args, report, observations)) return 1;
+  print_throughput(args, packets.size(), elapsed_ms);
   // Drift alerts get their own exit code so CI can distinguish "about to
   // violate" (3) from "violating" (1) and "clean" (0).
   return monitor_exit_code(report, args.violation_threshold,
@@ -712,47 +740,8 @@ int cmd_merge(const std::string& nf, const MonitorCliArgs& args) {
   const obs::FleetMergeResult merged =
       obs::merge_partials(windows, finals, obs::DriftOptions{});
 
-  std::FILE* delta_file = nullptr;
-  if (!args.delta_out.empty()) {
-    delta_file = std::fopen(args.delta_out.c_str(), "wb");
-    if (delta_file == nullptr) {
-      std::fprintf(stderr, "error: cannot write delta stream to '%s'\n",
-                   args.delta_out.c_str());
-      return 1;
-    }
-  }
-  for (const obs::DeltaWindow& w : merged.observations.deltas) {
-    const std::string line = obs::delta_window_to_json(w) + "\n";
-    if (args.watch) {
-      std::fputs(line.c_str(), stdout);
-      std::fflush(stdout);
-    }
-    if (delta_file != nullptr) {
-      std::fputs(line.c_str(), delta_file);
-      std::fflush(delta_file);
-    }
-  }
-  if (delta_file != nullptr && std::fclose(delta_file) != 0) {
-    std::fprintf(stderr, "error: cannot write delta stream to '%s'\n",
-                 args.delta_out.c_str());
+  if (!write_batch_outputs(args, merged.report, merged.observations)) {
     return 1;
-  }
-  if (!args.metrics_out.empty() &&
-      !write_metrics_file(args, merged.observations.telemetry,
-                          merged.report.nf)) {
-    return 1;
-  }
-  if (!args.report.empty() &&
-      !support::write_file(args.report,
-                           monitor::report_to_json(merged.report) + "\n")) {
-    std::fprintf(stderr, "error: cannot write report to '%s'\n",
-                 args.report.c_str());
-    return 1;
-  }
-  if (args.json) {
-    std::printf("%s\n", monitor::report_to_json(merged.report).c_str());
-  } else if (!args.watch) {
-    std::printf("%s", merged.report.str().c_str());
   }
   std::fprintf(stderr, "merged %zu window partial(s) from %zu file(s) across "
                "the fleet\n",
@@ -761,52 +750,39 @@ int cmd_merge(const std::string& nf, const MonitorCliArgs& args) {
                            merged.observations.alerts.size());
 }
 
+/// Flags of 'adversary' and 'hunt'; main() admits each flag only for the
+/// subcommands it applies to.
 struct AdversaryCliArgs {
   std::string contract;   // stored artifact; empty = generate in-process
-  std::string out;        // trace pair prefix
-  std::string report;     // gap-report JSON file
+  std::string out;        // trace pair prefix (hunt: minimised witness)
+  std::string report;     // gap-report / hunt-report JSON file
   std::uint64_t seed = 1;
   std::size_t probes = 12;
   std::size_t partitions = 8;
   std::size_t threads = 0;
   std::uint64_t epoch_ns = 1'000'000'000;
   std::uint64_t min_reached_pct = 1;
+  std::size_t generations = 6;
+  std::size_t population = 4;
+  std::size_t budget = 0;       // 0 = generations * population + 1
+  std::size_t max_replays = 0;  // minimiser replay cap (0 = uncapped)
+  bool inject_straddle_bug = false;  // test-only measurement fault
   bool json = false;
 };
 
 int cmd_adversary(const std::string& nf, const AdversaryCliArgs& args) {
-  perf::PcvRegistry reg;
-  perf::Contract contract("");
-  core::NfTarget probe;
-  {
-    perf::PcvRegistry probe_reg;
-    if (!core::make_named_target(nf, probe_reg, probe)) return usage();
-  }
   // In-process mode runs the generator once; its path reports double as
   // the synthesiser's witnesses. Stored mode leaves witness generation to
   // adversarial_traffic (bounds come from the artifact, witnesses can't).
+  perf::PcvRegistry reg;
+  perf::Contract contract("");
   core::GenerationResult generated;
-  const std::vector<core::PathReport>* witnesses = nullptr;
-  if (!args.contract.empty()) {
-    contract = perf::load_contract(args.contract, reg);
-    if (contract.nf_name() != probe.contract_name()) {
-      std::fprintf(stderr,
-                   "error: contract '%s' was generated for nf '%s', not "
-                   "'%s'\n",
-                   args.contract.c_str(), contract.nf_name().c_str(),
-                   probe.contract_name().c_str());
-      return 2;
-    }
-  } else {
-    core::NfTarget target;
-    if (!core::make_named_target(nf, reg, target)) return usage();
-    core::BoltOptions options;
-    options.threads = args.threads;
-    core::ContractGenerator generator(reg, options);
-    generated = generator.generate(target.analysis());
-    contract = generated.contract;
-    witnesses = &generated.path_reports;
+  if (const int rc = acquire_contract(nf, args.contract, args.threads, reg,
+                                      contract, &generated)) {
+    return rc;
   }
+  const std::vector<core::PathReport>* witnesses =
+      args.contract.empty() ? &generated.path_reports : nullptr;
 
   adversary::AdversaryOptions opts;
   opts.seed = args.seed;
@@ -868,24 +844,7 @@ int cmd_adversary(const std::string& nf, const AdversaryCliArgs& args) {
   return 0;
 }
 
-struct HuntCliArgs {
-  std::string contract;   // stored artifact; empty = generate in-process
-  std::string out;        // minimised-trace pair prefix (written on a find)
-  std::string report;     // hunt-report JSON file
-  std::uint64_t seed = 1;
-  std::size_t generations = 6;
-  std::size_t population = 4;
-  std::size_t budget = 0;       // 0 = generations * population + 1
-  std::size_t max_replays = 0;  // minimiser replay cap (0 = uncapped)
-  std::size_t probes = 12;
-  std::size_t partitions = 8;
-  std::size_t threads = 0;
-  std::uint64_t epoch_ns = 1'000'000'000;
-  bool inject_straddle_bug = false;  // test-only measurement fault
-  bool json = false;
-};
-
-std::string hunt_to_json(const std::string& nf, const HuntCliArgs& args,
+std::string hunt_to_json(const std::string& nf, const AdversaryCliArgs& args,
                          const adversary::HunterResult& hunt,
                          const adversary::MinimizeResult* minimized) {
   using support::json_quote_into;
@@ -930,38 +889,17 @@ std::string hunt_to_json(const std::string& nf, const HuntCliArgs& args,
   return out;
 }
 
-int cmd_hunt(const std::string& nf, const HuntCliArgs& args) {
+int cmd_hunt(const std::string& nf, const AdversaryCliArgs& args) {
+  // Same contract conventions as 'adversary'.
   perf::PcvRegistry reg;
   perf::Contract contract("");
-  core::NfTarget probe;
-  {
-    perf::PcvRegistry probe_reg;
-    if (!core::make_named_target(nf, probe_reg, probe)) return usage();
-  }
-  // Same contract conventions as 'adversary': stored artifact or in-process
-  // generation, whose path reports double as seed-trace witnesses.
   core::GenerationResult generated;
-  const std::vector<core::PathReport>* witnesses = nullptr;
-  if (!args.contract.empty()) {
-    contract = perf::load_contract(args.contract, reg);
-    if (contract.nf_name() != probe.contract_name()) {
-      std::fprintf(stderr,
-                   "error: contract '%s' was generated for nf '%s', not "
-                   "'%s'\n",
-                   args.contract.c_str(), contract.nf_name().c_str(),
-                   probe.contract_name().c_str());
-      return 2;
-    }
-  } else {
-    core::NfTarget target;
-    if (!core::make_named_target(nf, reg, target)) return usage();
-    core::BoltOptions options;
-    options.threads = args.threads;
-    core::ContractGenerator generator(reg, options);
-    generated = generator.generate(target.analysis());
-    contract = generated.contract;
-    witnesses = &generated.path_reports;
+  if (const int rc = acquire_contract(nf, args.contract, args.threads, reg,
+                                      contract, &generated)) {
+    return rc;
   }
+  const std::vector<core::PathReport>* witnesses =
+      args.contract.empty() ? &generated.path_reports : nullptr;
 
   adversary::HunterOptions opts;
   opts.seed = args.seed;
@@ -1152,7 +1090,6 @@ int main(int argc, char** argv) {
     return v;
   };
   AdversaryCliArgs aargs;
-  HuntCliArgs hargs;
   // Positionals (nf names, paths, counts, k=v bindings) pass through; a
   // flag that is unknown — or known but inapplicable to this subcommand —
   // must not be silently ignored: the monitor exit code is a CI gate, and
@@ -1183,48 +1120,46 @@ int main(int argc, char** argv) {
       margs.packets = numeric(i, "--packets");
     } else if (std::strcmp(argv[i], "--partitions") == 0) {
       only_for(is_monitor || is_adversary || is_hunt, "--partitions");
-      margs.partitions = aargs.partitions = hargs.partitions =
-          numeric(i, "--partitions");
+      margs.partitions = aargs.partitions = numeric(i, "--partitions");
     } else if (std::strcmp(argv[i], "--epoch-ns") == 0) {
       only_for(is_monitor || is_adversary || is_hunt, "--epoch-ns");
-      margs.epoch_ns = aargs.epoch_ns = hargs.epoch_ns =
-          numeric(i, "--epoch-ns");
+      margs.epoch_ns = aargs.epoch_ns = numeric(i, "--epoch-ns");
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       only_for(is_adversary || is_hunt, "--seed");
-      aargs.seed = hargs.seed = numeric(i, "--seed");
+      aargs.seed = numeric(i, "--seed");
     } else if (std::strcmp(argv[i], "--probes") == 0) {
       only_for(is_adversary || is_hunt, "--probes");
-      aargs.probes = hargs.probes = numeric(i, "--probes");
+      aargs.probes = numeric(i, "--probes");
     } else if (std::strcmp(argv[i], "--min-reached-pct") == 0) {
       only_for(is_adversary, "--min-reached-pct");
       aargs.min_reached_pct = numeric(i, "--min-reached-pct");
     } else if (std::strcmp(argv[i], "--generations") == 0) {
       only_for(is_hunt, "--generations");
-      hargs.generations = numeric(i, "--generations");
+      aargs.generations = numeric(i, "--generations");
     } else if (std::strcmp(argv[i], "--population") == 0) {
       only_for(is_hunt, "--population");
-      hargs.population = numeric(i, "--population");
+      aargs.population = numeric(i, "--population");
     } else if (std::strcmp(argv[i], "--budget") == 0) {
       only_for(is_hunt, "--budget");
-      hargs.budget = numeric(i, "--budget");
+      aargs.budget = numeric(i, "--budget");
     } else if (std::strcmp(argv[i], "--max-replays") == 0) {
       only_for(is_hunt, "--max-replays");
-      hargs.max_replays = numeric(i, "--max-replays");
+      aargs.max_replays = numeric(i, "--max-replays");
     } else if (std::strcmp(argv[i], "--inject-straddle-bug") == 0) {
       only_for(is_hunt, "--inject-straddle-bug");
-      hargs.inject_straddle_bug = true;
+      aargs.inject_straddle_bug = true;
     } else if (std::strcmp(argv[i], "--contract") == 0) {
       only_for(is_monitor || is_adversary || is_hunt, "--contract");
       if (i + 1 >= argc) return usage();
-      margs.contract = aargs.contract = hargs.contract = argv[++i];
+      margs.contract = aargs.contract = argv[++i];
     } else if (std::strcmp(argv[i], "--report") == 0) {
       only_for(is_monitor || is_merge || is_adversary || is_hunt, "--report");
       if (i + 1 >= argc) return usage();
-      margs.report = aargs.report = hargs.report = argv[++i];
+      margs.report = aargs.report = argv[++i];
     } else if (std::strcmp(argv[i], "--out") == 0) {
       only_for(cmd == "contract" || is_adversary || is_hunt, "--out");
       if (i + 1 >= argc) return usage();
-      out_file = aargs.out = hargs.out = argv[++i];
+      out_file = aargs.out = argv[++i];
     } else if (std::strcmp(argv[i], "--violation-threshold") == 0) {
       only_for(is_monitor || is_merge, "--violation-threshold");
       margs.violation_threshold = numeric(i, "--violation-threshold");
@@ -1317,8 +1252,6 @@ int main(int argc, char** argv) {
   margs.json = json;
   aargs.threads = threads;
   aargs.json = json;
-  hargs.threads = threads;
-  hargs.json = json;
   if (cmd == "contract" && argc >= 3) {
     return cmd_contract(argv[2], false, json, threads, out_file);
   }
@@ -1330,7 +1263,7 @@ int main(int argc, char** argv) {
   if (cmd == "monitor" && argc >= 3) return cmd_monitor(argv[2], margs);
   if (cmd == "merge" && argc >= 3) return cmd_merge(argv[2], margs);
   if (cmd == "adversary" && argc >= 3) return cmd_adversary(argv[2], aargs);
-  if (cmd == "hunt" && argc >= 3) return cmd_hunt(argv[2], hargs);
+  if (cmd == "hunt" && argc >= 3) return cmd_hunt(argv[2], aargs);
   if (cmd == "gen" && argc >= 4) {
     // The count is positional; don't mistake a trailing flag for it.
     std::size_t count = 10'000;
