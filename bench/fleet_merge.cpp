@@ -92,54 +92,26 @@ int main() {
   // Serialise a 4-instance fleet's partials once, then time parse + merge
   // (the per-file work 'bolt_cli merge' does, minus the disk).
   constexpr std::uint32_t kInstances = 4;
-  std::vector<std::string> entry_names;
-  for (const auto& e : result.contract.entries()) {
-    entry_names.push_back(e.input_class);
-  }
   std::vector<std::string> window_files;
   std::vector<std::string> final_files;
   for (std::uint32_t i = 0; i < kInstances; ++i) {
     monitor::FleetOptions fleet;
     fleet.instance = i;
     fleet.instances = kInstances;
-    std::vector<obs::WindowPartial> mine;
+    const monitor::StreamMonitor* stream = nullptr;  // set once constructed
     auto on_window = [&](const monitor::ClosedWindow& cw) {
       if (cw.stats->packets == 0) return;
-      obs::WindowPartial wp;
-      wp.nf = result.contract.nf_name();
-      wp.instance = i;
-      wp.instances = kInstances;
-      wp.window = cw.window;
-      wp.window_ns = cw.window_ns;
-      for (std::size_t e = 0; e < cw.accums->size(); ++e) {
-        if ((*cw.accums)[e].packets == 0) continue;
-        wp.classes.push_back(entry_names[e]);
-        wp.accums.push_back((*cw.accums)[e]);
-      }
-      wp.packets = cw.stats->packets;
-      wp.epoch_sweeps = cw.stats->epoch_sweeps;
-      wp.expired_idle = cw.stats->expired_idle;
-      wp.high_water = cw.stats->high_water;
-      window_files.push_back(obs::window_partial_to_json(wp));
+      window_files.push_back(
+          obs::window_partial_to_json(obs::window_partial(*stream, cw)));
     };
     monitor::StreamMonitor sm(result.contract, reg,
                               monitor::MonitorEngine::named_factory("nat"),
                               opts, fleet, on_window);
+    stream = &sm;
     for (const net::Packet& p : packets) sm.feed(p);
     const monitor::StreamResult res = sm.finish();
-    obs::FinalPartial fp;
-    fp.nf = result.contract.nf_name();
-    fp.instance = i;
-    fp.instances = kInstances;
-    fp.stream_packets = sm.packets_fed();
-    fp.partitions = opts.partitions;
-    fp.cycles_checked = opts.check_cycles;
-    fp.epoch_ns = opts.epoch_ns;
-    fp.max_offenders = opts.max_offenders;
-    fp.entries = entry_names;
-    fp.residents = res.report.state_residents;
-    fp.state_tracked = res.report.state_tracked;
-    final_files.push_back(obs::final_partial_to_json(fp));
+    final_files.push_back(
+        obs::final_partial_to_json(obs::final_partial(sm, res)));
   }
   std::uint64_t sink = 0;
   const double merge_s = best_seconds(kReps, [&] {

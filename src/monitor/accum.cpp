@@ -1,6 +1,7 @@
 #include "monitor/accum.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace bolt::monitor {
 
@@ -97,24 +98,6 @@ void ClassAccum::merge(const ClassAccum& other, std::size_t cap) {
   for (const Offender& o : other.offenders) add_offender(o, cap);
 }
 
-void DeltaEntryAccum::merge(const DeltaEntryAccum& other) {
-  packets += other.packets;
-  for (std::size_t m = 0; m < 3; ++m) {
-    violations[m] += other.violations[m];
-    headroom_pm[m].merge(other.headroom_pm[m]);
-  }
-}
-
-DeltaEntryAccum delta_slice(const ClassAccum& acc) {
-  DeltaEntryAccum d;
-  d.packets = acc.packets;
-  for (std::size_t m = 0; m < 3; ++m) {
-    d.violations[m] = acc.metrics[m].violations;
-    d.headroom_pm[m] = acc.metrics[m].headroom_pm;
-  }
-  return d;
-}
-
 void RunTotals::merge(const RunTotals& other) {
   if (other.unattributed > 0 || other.any_unattributed) {
     unattributed += other.unattributed;
@@ -186,24 +169,24 @@ MonitorReport build_report(const std::string& nf, std::uint64_t packets,
 obs::DeltaWindow build_delta_window(std::uint64_t window,
                                     std::uint64_t window_ns,
                                     const std::vector<std::string>& entry_names,
-                                    const std::vector<DeltaEntryAccum>& accums,
+                                    const std::vector<ClassAccum>& accums,
                                     obs::DriftDetector& detector,
                                     std::vector<obs::DriftAlert>* alerts_out) {
   obs::DeltaWindow dw;
   dw.window = window;
   dw.window_ns = window_ns;
   for (std::size_t e = 0; e < accums.size(); ++e) {
-    const DeltaEntryAccum& ea = accums[e];
-    if (ea.packets == 0) continue;
+    const ClassAccum& acc = accums[e];
+    if (acc.packets == 0) continue;
     obs::DeltaClass dc;
     dc.input_class = entry_names[e];
-    dc.packets = ea.packets;
-    dw.packets += ea.packets;
+    dc.packets = acc.packets;
+    dw.packets += acc.packets;
     for (const Metric m : kAllMetrics) {
       const int mi = metric_index(m);
-      dc.metrics[mi].violations = ea.violations[mi];
-      dc.metrics[mi].headroom_pm = ea.headroom_pm[mi];
-      dw.violations += ea.violations[mi];
+      dc.metrics[mi].violations = acc.metrics[mi].violations;
+      dc.metrics[mi].headroom_pm = acc.metrics[mi].headroom_pm;
+      dw.violations += acc.metrics[mi].violations;
     }
     dw.classes.push_back(std::move(dc));
   }
@@ -226,6 +209,69 @@ obs::DeltaWindow build_delta_window(std::uint64_t window,
     }
   }
   return dw;
+}
+
+RunFold::RunFold(std::string nf, const std::vector<std::string>& entry_names,
+                 const MonitorOptions& options, std::uint64_t window_ns)
+    : nf_(std::move(nf)),
+      entry_names_(entry_names),
+      options_(options),
+      window_ns_(window_ns),
+      classes_(entry_names.size()),
+      detector_(options.drift) {}
+
+bool RunFold::render(std::uint64_t window,
+                     const std::vector<ClassAccum>& accums,
+                     obs::DriftDetector& detector,
+                     std::vector<obs::DriftAlert>* alerts,
+                     obs::DeltaWindow* rendered) const {
+  if (window_ns_ == 0) return false;
+  std::uint64_t attributed = 0;
+  for (const ClassAccum& acc : accums) attributed += acc.packets;
+  if (attributed == 0) return false;
+  *rendered = build_delta_window(window, window_ns_, entry_names_, accums,
+                                 detector, alerts);
+  return true;
+}
+
+bool RunFold::close(std::uint64_t window,
+                    const std::vector<ClassAccum>& accums,
+                    const RunTotals& totals, obs::DeltaWindow* rendered) {
+  const bool delta = render(window, accums, detector_, &alerts_, rendered);
+  if (delta) ++delta_windows_;
+  for (std::size_t e = 0; e < classes_.size(); ++e) {
+    classes_[e].merge(accums[e], options_.max_offenders);
+  }
+  totals_.merge(totals);
+  return delta;
+}
+
+bool RunFold::preview(std::uint64_t window,
+                      const std::vector<ClassAccum>& accums,
+                      obs::DeltaWindow* rendered) const {
+  obs::DriftDetector scratch(options_.drift);
+  return render(window, accums, scratch, nullptr, rendered);
+}
+
+obs::MonitorTelemetry RunFold::telemetry(obs::MonitorTelemetry counters) const {
+  counters.epoch_sweeps = totals_.epoch_sweeps;
+  counters.state_high_water = totals_.high_water;
+  counters.delta_windows = delta_windows_;
+  counters.drift_alerts = alerts_.size();
+  return counters;
+}
+
+MonitorReport RunFold::finish(std::uint64_t packets, const RunTotals& tail,
+                              const obs::MonitorTelemetry& counters,
+                              obs::RunObservations* observations) {
+  totals_.merge(tail);
+  if (observations != nullptr) {
+    observations->telemetry = telemetry(counters);
+    observations->alerts = std::move(alerts_);
+  }
+  return build_report(nf_, packets, options_.partitions, options_.check_cycles,
+                      options_.epoch_ns, entry_names_, std::move(classes_),
+                      totals_);
 }
 
 }  // namespace bolt::monitor

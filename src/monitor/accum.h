@@ -1,20 +1,21 @@
-// Order-independent accumulators shared by the batch monitor engine, the
-// streaming (follow-mode) monitor and the fleet merger.
+// Order-independent accumulators and the one window fold shared by the
+// batch monitor engine, the streaming (follow-mode) monitor and the fleet
+// merger.
 //
 // Every accumulator here merges order-independently: counters are sums,
 // worsts are maxima under a *total* order (utilization, ties by packet
 // index), the bounded offender list is a top-k under the same total order,
 // and the sketches are merge-order independent by property test. That is
 // what lets statistics accumulate per partition, per validation block, per
-// delta window, or per fleet instance — whose composition depends on
-// execution or on deployment shape — and still merge to byte-identical
-// reports.
+// window, or per fleet instance — whose composition depends on execution
+// or on deployment shape — and still merge to byte-identical reports.
 //
-// build_report / build_delta_window are the single rendering paths: the
-// batch engine's end-of-run merge, the streaming monitor's finish(), and
-// `bolt_cli merge`'s fleet fold all call the same two functions, so
-// "byte-identical to the single-instance batch run" is correct by
-// construction rather than by parallel maintenance of three copies.
+// RunFold is where every deployment shape closes its windows: the batch
+// engine after merging its partitions per window, the streaming monitor as
+// packet timestamps pass each window, the fleet merger after its dedupe.
+// It renders the delta line, runs the drift pass, folds the window into
+// the run and finally renders the report, so "byte-identical to the batch
+// run" holds by construction rather than by keeping three copies in step.
 #pragma once
 
 #include <array>
@@ -22,9 +23,11 @@
 #include <string>
 #include <vector>
 
+#include "monitor/monitor.h"
 #include "monitor/report.h"
 #include "obs/delta.h"
 #include "obs/drift.h"
+#include "obs/telemetry.h"
 #include "perf/metric.h"
 #include "perf/quantile_sketch.h"
 
@@ -75,28 +78,10 @@ struct ClassAccum {
   void merge(const ClassAccum& other, std::size_t cap);
 };
 
-/// Per-(window, contract entry) accumulation for delta-report mode: the
-/// same headroom values the main report's sketches see, bucketed by the
-/// semantic window id. Merging every window's sketches reproduces the
-/// end-of-run sketch state (tests/test_obs.cpp locks that down).
-struct DeltaEntryAccum {
-  std::uint64_t packets = 0;
-  std::array<std::uint64_t, 3> violations{};
-  std::array<perf::QuantileSketch, 3> headroom_pm;
-
-  void merge(const DeltaEntryAccum& other);
-};
-
-/// The delta-window view of a full per-class accumulation: a window-level
-/// ClassAccum carries strictly more than a DeltaEntryAccum, so the
-/// streaming monitor and the fleet merger keep only ClassAccums per window
-/// and project them down when rendering the delta stream.
-DeltaEntryAccum delta_slice(const ClassAccum& acc);
-
 /// Everything a run accumulates outside the per-class statistics. Sums,
 /// minima (first unattributed packet) and maxima (state high water) — all
-/// order-independent, so queue results, closed windows and fleet partials
-/// fold through the same type.
+/// order-independent, so partitions, closed windows and fleet partials fold
+/// through the same type.
 struct RunTotals {
   std::uint64_t unattributed = 0;
   std::uint64_t first_unattributed = 0;
@@ -123,16 +108,64 @@ MonitorReport build_report(const std::string& nf, std::uint64_t packets,
                            const RunTotals& totals);
 
 /// Renders one delta window from per-entry accumulations (parallel to
-/// `entry_names`) and feeds the drift detector exactly the stream the
-/// operator sees: one p99 point per (class, metric) per window, classes in
-/// sorted order. Raised alerts land in the returned window *and* in
-/// `alerts_out` (when non-null). Call in ascending window order — the
-/// detector is stateful.
+/// `entry_names`; only entries with packets appear) and feeds the drift
+/// detector exactly the stream the operator sees: one p99 point per (class,
+/// metric) per window, classes in sorted order. Raised alerts land in the
+/// returned window *and* in `alerts_out` (when non-null). Call in ascending
+/// window order — the detector is stateful.
 obs::DeltaWindow build_delta_window(std::uint64_t window,
                                     std::uint64_t window_ns,
                                     const std::vector<std::string>& entry_names,
-                                    const std::vector<DeltaEntryAccum>& accums,
+                                    const std::vector<ClassAccum>& accums,
                                     obs::DriftDetector& detector,
                                     std::vector<obs::DriftAlert>* alerts_out);
+
+/// The run's one window fold (see the file comment).
+class RunFold {
+ public:
+  /// `entry_names` must outlive the fold. Report shape and drift tuning
+  /// come from `options`; `window_ns` is 0 when delta mode is off.
+  RunFold(std::string nf, const std::vector<std::string>& entry_names,
+          const MonitorOptions& options, std::uint64_t window_ns);
+
+  /// Folds the next closed window (ascending order: drift is stateful).
+  /// In delta mode, a window with attributed traffic — exactly the windows
+  /// a batch delta stream holds — is rendered into `*rendered` through
+  /// the drift pass, and close() returns true.
+  bool close(std::uint64_t window, const std::vector<ClassAccum>& accums,
+             const RunTotals& totals, obs::DeltaWindow* rendered);
+
+  /// Renders a still-open window for an idle flush: a scratch detector
+  /// with one window never reaches min_points, and nothing folds.
+  bool preview(std::uint64_t window, const std::vector<ClassAccum>& accums,
+               obs::DeltaWindow* rendered) const;
+
+  /// `counters` with the merge-time facts folded so far mirrored in:
+  /// epoch sweeps, state high water, delta windows, drift alerts.
+  obs::MonitorTelemetry telemetry(obs::MonitorTelemetry counters) const;
+
+  /// Folds `tail` (totals outside any window) and renders the report.
+  /// `observations`, when non-null, gets the alerts and
+  /// telemetry(counters); its deltas are the caller's. Call once.
+  MonitorReport finish(std::uint64_t packets, const RunTotals& tail,
+                       const obs::MonitorTelemetry& counters,
+                       obs::RunObservations* observations);
+
+ private:
+  bool render(std::uint64_t window, const std::vector<ClassAccum>& accums,
+              obs::DriftDetector& detector,
+              std::vector<obs::DriftAlert>* alerts,
+              obs::DeltaWindow* rendered) const;
+
+  std::string nf_;
+  const std::vector<std::string>& entry_names_;
+  MonitorOptions options_;
+  std::uint64_t window_ns_;
+  std::vector<ClassAccum> classes_;  ///< folded windows, per contract entry
+  RunTotals totals_;
+  obs::DriftDetector detector_;
+  std::vector<obs::DriftAlert> alerts_;
+  std::uint64_t delta_windows_ = 0;
+};
 
 }  // namespace bolt::monitor

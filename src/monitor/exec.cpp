@@ -151,8 +151,7 @@ void PartitionExec::append_row(RowBlock& block, std::uint64_t index) const {
 }
 
 void RowValidator::validate(std::uint32_t entry, const RowBlock& block,
-                            ClassAccum& acc, DeltaEntryAccum* delta,
-                            obs::MonitorTelemetry* tel) {
+                            ClassAccum& acc, obs::MonitorTelemetry* tel) {
   const std::size_t rows = block.rows;
   if (rows == 0) return;
   const bool check_cycles = options_.check_cycles;
@@ -172,7 +171,6 @@ void RowValidator::validate(std::uint32_t entry, const RowBlock& block,
     tel->batch_fill.add(rows);
   }
   acc.packets += rows;
-  if (delta != nullptr) delta->packets += rows;
   for (std::size_t r = 0; r < rows; ++r) {
     const std::uint64_t index = block.indices[r];
     Offender worst;
@@ -184,10 +182,6 @@ void RowValidator::validate(std::uint32_t entry, const RowBlock& block,
       const std::int64_t bound = predicted_[mi][r];
       const bool violated = static_cast<std::int64_t>(measured) > bound;
       acc.metrics[mi].record(index, measured, bound);
-      if (delta != nullptr) {
-        delta->headroom_pm[mi].add(util_pm(measured, bound));
-        if (violated) ++delta->violations[mi];
-      }
       if (violated) {
         // Violation margin in per-mille of the bound (how far past it).
         acc.violation_margin_pm.add(

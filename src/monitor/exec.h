@@ -13,11 +13,14 @@
 // instance. A partition is a flow-affine sub-stream with its own NF
 // instance (PartitionExec); each packet is executed, metered, attributed
 // to a contract entry, and its dense PCV row is checked against that
-// entry's compiled bounds (RowValidator). The batch engine hands the
-// validator blocks of up to kBlockRows same-entry rows to amortise the
-// expression VM's dispatch; the streaming monitor hands it one row at a
-// time. Validation is row-independent and every accumulator merges
+// entry's compiled bounds (RowValidator) into the ClassAccum of the window
+// the packet lands in. The batch engine hands the validator blocks of up
+// to kBlockRows same-entry, same-window rows to amortise the expression
+// VM's dispatch; the streaming monitor hands it one row at a time.
+// Validation is row-independent and every accumulator merges
 // order-independently, so the block size never shows in report bytes.
+// What happens to a window after it closes — delta line, drift pass, the
+// fold into the run, the report — is RunFold's (monitor/accum.h).
 #pragma once
 
 #include <array>
@@ -130,8 +133,9 @@ class PartitionExec {
 };
 
 /// Evaluates an entry's compiled bounds over a block of rows and folds
-/// every row into a ClassAccum (and, in delta mode, the block's window
-/// accumulator). Holds the reusable expression scratch, so steady-state
+/// every row into one ClassAccum — the accumulator of the window the block
+/// belongs to; the caller picks it, so the validator knows nothing of
+/// windows. Holds the reusable expression scratch, so steady-state
 /// validation performs no allocations.
 class RowValidator {
  public:
@@ -139,7 +143,7 @@ class RowValidator {
       : tables_(tables), options_(options) {}
 
   void validate(std::uint32_t entry, const RowBlock& block, ClassAccum& acc,
-                DeltaEntryAccum* delta, obs::MonitorTelemetry* tel);
+                obs::MonitorTelemetry* tel);
 
  private:
   const ContractTables& tables_;

@@ -7,18 +7,22 @@
 
 namespace bolt::monitor {
 
+namespace {
+
+MonitorOptions normalized(MonitorOptions options) {
+  if (options.partitions == 0) options.partitions = 1;
+  return options;
+}
+
+}  // namespace
+
 struct StreamMonitor::WindowData {
+  explicit WindowData(std::size_t entries) : accums(entries) {}
+
   std::vector<ClassAccum> accums;  ///< per contract entry
   RunTotals totals;                ///< residents/state_tracked stay unset
   std::uint64_t packets = 0;
   std::uint64_t late_packets = 0;
-
-  void reset(std::size_t entries) {
-    accums.assign(entries, ClassAccum{});
-    totals = RunTotals{};
-    packets = 0;
-    late_packets = 0;
-  }
 };
 
 StreamMonitor::StreamMonitor(const perf::Contract& contract,
@@ -27,13 +31,13 @@ StreamMonitor::StreamMonitor(const perf::Contract& contract,
                              MonitorOptions options, FleetOptions fleet,
                              WindowFn on_window)
     : factory_(factory),
-      options_(options),
+      options_(normalized(std::move(options))),
       fleet_(std::move(fleet)),
       on_window_(std::move(on_window)),
       tables_(contract, reg, options_),
       validator_(tables_, options_),
-      detector_(options.drift) {
-  if (options_.partitions == 0) options_.partitions = 1;
+      fold_(contract.nf_name(), tables_.entry_names, options_,
+            tables_.delta_window_ns) {
   if (fleet_.instances == 0) fleet_.instances = 1;
   BOLT_CHECK(fleet_.instance < fleet_.instances,
              "stream monitor: instance id out of range");
@@ -44,7 +48,6 @@ StreamMonitor::StreamMonitor(const perf::Contract& contract,
                "stream monitor: partition owner out of range");
   }
   partitions_.resize(options_.partitions);
-  total_accums_.assign(tables_.entry_names.size(), ClassAccum{});
   // Probe the factory once for the state-observer flag: the batch engine
   // reports state_tracked for every run regardless of traffic, and so
   // must an instance that happened to own only quiet partitions.
@@ -52,7 +55,6 @@ StreamMonitor::StreamMonitor(const perf::Contract& contract,
     perf::PcvRegistry probe_reg;
     track_state_ = factory_(probe_reg).has_state_observers();
   }
-  totals_.state_tracked = track_state_;
 }
 
 StreamMonitor::~StreamMonitor() = default;
@@ -81,14 +83,9 @@ void StreamMonitor::feed(const net::Packet& packet) {
   // The window clock advances on *every* packet of the global stream
   // (owned or not), so all fleet instances close the same windows at the
   // same stream positions.
-  if (!have_open_) {
-    open_ = std::make_unique<WindowData>();
-    open_->reset(tables_.entry_names.size());
-    have_open_ = true;
-    open_window_ = w;
-  } else if (w > open_window_) {
+  if (open_ == nullptr || w > open_window_) {
     close_open(/*provisional=*/false);
-    open_->reset(tables_.entry_names.size());
+    open_ = std::make_unique<WindowData>(tables_.entry_names.size());
     open_window_ = w;
   }
 
@@ -104,11 +101,11 @@ void StreamMonitor::feed(const net::Packet& packet) {
   if (entry == kUnattributedEntry) return;
   row_.rows = 0;
   exec.append_row(row_, index);
-  validator_.validate(entry, row_, open_->accums[entry], nullptr, tel);
+  validator_.validate(entry, row_, open_->accums[entry], tel);
 }
 
 void StreamMonitor::close_open(bool provisional) {
-  if (!have_open_) return;
+  if (open_ == nullptr) return;
   if (provisional && !open_dirty_) return;  // nothing new since last flush
 
   ClosedWindow cw;
@@ -127,51 +124,18 @@ void StreamMonitor::close_open(bool provisional) {
   stats.high_water = wt.high_water;
   stats.late_packets = open_->late_packets;
   cw.stats = &stats;
-
-  // Render a delta window only when there is attributed traffic — the
-  // batch stream never contains a window without it.
-  std::uint64_t attributed = 0;
-  for (const ClassAccum& acc : open_->accums) attributed += acc.packets;
-  if (cw.window_ns > 0 && attributed > 0) {
-    std::vector<DeltaEntryAccum> slices;
-    slices.reserve(open_->accums.size());
-    for (const ClassAccum& acc : open_->accums) {
-      slices.push_back(delta_slice(acc));
-    }
-    if (provisional) {
-      // A provisional emission must not advance the drift detector (the
-      // authoritative close will); a throwaway detector with a single
-      // window can never reach min_points, so alerts stay empty.
-      obs::DriftDetector scratch(options_.drift);
-      cw.delta = build_delta_window(open_window_, cw.window_ns,
-                                    tables_.entry_names, slices, scratch,
-                                    nullptr);
-    } else {
-      cw.delta = build_delta_window(open_window_, cw.window_ns,
-                                    tables_.entry_names, slices, detector_,
-                                    &alerts_);
-    }
-    cw.has_delta = true;
-  }
-
+  // A provisional emission renders through a scratch drift pass and folds
+  // nothing; the authoritative close folds the window into the run.
+  cw.has_delta =
+      provisional
+          ? fold_.preview(open_window_, open_->accums, &cw.delta)
+          : fold_.close(open_window_, open_->accums, wt, &cw.delta);
   if (on_window_ != nullptr) on_window_(cw);
   open_dirty_ = false;
-  if (provisional) return;  // keep accumulating into the same window
-
-  if (cw.has_delta) ++windows_emitted_;
-  for (std::size_t e = 0; e < total_accums_.size(); ++e) {
-    total_accums_[e].merge(open_->accums[e], options_.max_offenders);
-  }
-  totals_.merge(wt);
 }
 
 obs::MonitorTelemetry StreamMonitor::telemetry_snapshot() const {
-  obs::MonitorTelemetry t = tel_;
-  t.epoch_sweeps = totals_.epoch_sweeps;
-  t.state_high_water = totals_.high_water;
-  t.delta_windows = windows_emitted_;
-  t.drift_alerts = alerts_.size();
-  return t;
+  return fold_.telemetry(tel_);
 }
 
 void StreamMonitor::idle_flush() {
@@ -183,35 +147,22 @@ StreamResult StreamMonitor::finish() {
   BOLT_CHECK(!finished_, "stream monitor: finish called twice");
   finished_ = true;
   close_open(/*provisional=*/false);
-  have_open_ = false;
   open_.reset();
 
   // Residents match the batch engine, which instantiates every partition
   // (even traffic-free ones) and sums end-of-run occupancy. An instance
   // only answers for partitions it owns — summed across a fleet, every
   // partition is counted exactly once, same as a single monitor.
+  RunTotals tail;
+  tail.state_tracked = track_state_;
   if (track_state_) {
     for (std::size_t p = 0; p < partitions_.size(); ++p) {
       if (!owned(p)) continue;
-      totals_.residents += partition(p).occupancy();
+      tail.residents += partition(p).occupancy();
     }
   }
-
   StreamResult out;
-  std::vector<ClassAccum> merged = std::move(total_accums_);
-  total_accums_.assign(tables_.entry_names.size(), ClassAccum{});
-  out.report = build_report(tables_.contract.nf_name(), next_index_,
-                            options_.partitions, options_.check_cycles,
-                            options_.epoch_ns, tables_.entry_names,
-                            std::move(merged), totals_);
-  out.observations.alerts = alerts_;
-  // Merge-time facts are mirrored whether or not counter collection was on
-  // — same as the batch engine (counters stay zero when telemetry is off).
-  tel_.epoch_sweeps = out.report.epoch_sweeps;
-  tel_.state_high_water = out.report.state_high_water;
-  tel_.delta_windows = windows_emitted_;
-  tel_.drift_alerts = alerts_.size();
-  out.observations.telemetry = tel_;
+  out.report = fold_.finish(next_index_, tail, tel_, &out.observations);
   return out;
 }
 

@@ -3,12 +3,14 @@
 //
 // Where MonitorEngine::run() consumes a finished trace, StreamMonitor is
 // fed one packet at a time (from a tailed pcap, a ring, or a live source),
-// closes delta windows as packet timestamps advance, and surfaces each
-// closed window through a callback the moment it closes — delta JSONL
-// lines, drift alerts and fleet partials all flow incrementally instead of
-// at end-of-run. finish() renders the final report through the exact same
-// build_report path as the batch engine, so a daemon drained by SIGTERM
-// emits byte-for-byte the report a batch run over the same packets would
+// closes windows as packet timestamps advance, and surfaces each closed
+// window through a callback the moment it closes — delta JSONL lines,
+// drift alerts and fleet partials all flow incrementally instead of at
+// end-of-run. Packets run through the batch engine's own executor and
+// validator (monitor/exec.h), and every closed window goes through the
+// same RunFold (monitor/accum.h) the batch engine and the fleet merger
+// close theirs with, so a daemon drained by SIGTERM emits byte-for-byte
+// the report and delta stream a batch run over the same packets would
 // have produced (tests/test_fleet.cpp pins this).
 //
 // Fleet mode: N instances each feed the FULL traffic stream but own a
@@ -16,15 +18,16 @@
 // belongs to instance p % instances). Ownership is partition-aligned, so
 // each instance's per-flow state, epoch sweeps and occupancy marks evolve
 // exactly as they would inside a single monitor — which is what makes the
-// merged fleet report byte-identical to the single-instance one
-// (obs/fleet.h folds the per-window partials back together).
+// merged fleet report byte-identical to the single-instance one. Each
+// closed window becomes one spool partial (obs::window_partial, obs/fleet.h)
+// that the merger folds back together.
 //
 // Memory is bounded for unbounded runs: one open window of accumulators,
-// closed windows fold into running totals and are dropped, per-flow state
-// ages out through the same deterministic epoch clock as the batch engine,
-// and the drift detector's per-series rings are fixed-size. The stream is
-// expected to be window-monotone (timestamps may jitter within a window; a
-// packet older than the open window is clamped into it and counted in
+// closed windows fold into the run and are dropped, per-flow state ages out
+// through the same deterministic epoch clock as the batch engine, and the
+// drift detector's per-series rings are fixed-size. The stream is expected
+// to be window-monotone (timestamps may jitter within a window; a packet
+// older than the open window is clamped into it and counted in
 // WindowStats::late_packets — pcap tails and NIC streams satisfy this).
 #pragma once
 
@@ -132,6 +135,7 @@ class StreamMonitor {
   /// execution-shaped and never byte-pinned, so a mid-run snapshot is fine.
   obs::MonitorTelemetry telemetry_snapshot() const;
 
+  const std::string& nf_name() const { return tables_.contract.nf_name(); }
   const std::vector<std::string>& entry_names() const {
     return tables_.entry_names;
   }
@@ -158,16 +162,11 @@ class StreamMonitor {
   std::vector<std::unique_ptr<PartitionExec>> partitions_;
   RowValidator validator_;
   RowBlock row_;  ///< the one-row block each owned packet is validated as
-  std::unique_ptr<WindowData> open_;
-  bool have_open_ = false;
+  std::unique_ptr<WindowData> open_;  ///< null until the first packet
   std::uint64_t open_window_ = 0;
   bool open_dirty_ = false;  ///< data since the last (provisional) emit
 
-  std::vector<ClassAccum> total_accums_;  ///< merged closed windows
-  RunTotals totals_;
-  obs::DriftDetector detector_;
-  std::vector<obs::DriftAlert> alerts_;
-  std::uint64_t windows_emitted_ = 0;
+  RunFold fold_;  ///< closed windows, folded in order
   obs::MonitorTelemetry tel_;
 
   std::uint64_t next_index_ = 0;  ///< global packet index (all instances

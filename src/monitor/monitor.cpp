@@ -9,26 +9,28 @@
 #include "net/flow.h"
 #include "net/headers.h"
 #include "obs/delta.h"
-#include "obs/drift.h"
 #include "support/assert.h"
 #include "support/thread_pool.h"
 
 namespace bolt::monitor {
 
 // The per-partition executor and row validator live in monitor/exec.h; the
-// accumulators, the exact utilization arithmetic and the report/delta
-// rendering live in monitor/accum.h. Both are shared with the streaming
+// accumulators and the one window fold (RunFold: delta lines, drift, the
+// report) live in monitor/accum.h. Both are shared with the streaming
 // monitor (follow.cpp) and the fleet merger (obs/fleet.cpp), which must
 // produce byte-identical output to this engine.
 
 namespace {
 
+/// Window id -> per-entry accumulation. std::map so windows fold in
+/// ascending order.
+using WindowMap = std::map<std::uint64_t, std::vector<ClassAccum>>;
+
 /// Everything one partition accumulates; merged in partition order.
 struct PartitionResult {
-  std::vector<ClassAccum> classes;  ///< per contract entry
-  /// Delta-report mode: window id -> per-entry accumulation. std::map so
-  /// the end-of-run merge walks windows in order.
-  std::map<std::uint64_t, std::vector<DeltaEntryAccum>> delta_windows;
+  /// Per window, as a stream instance keeps them; one window, 0, when
+  /// delta mode is off.
+  WindowMap windows;
   RunTotals totals;
   obs::MonitorTelemetry tel;
 };
@@ -45,20 +47,15 @@ void run_partition(const ContractTables& tables, const MonitorOptions& options,
                    PartitionResult& out) {
   const std::size_t entries = tables.entry_names.size();
   obs::MonitorTelemetry* tel = options.telemetry ? &out.tel : nullptr;
-  out.classes.assign(entries, ClassAccum{});
   PartitionExec exec(tables, options, factory);
   RowValidator validator(tables, options);
   std::vector<RowBlock> open(entries);
 
   const auto flush = [&](std::uint32_t entry) {
     RowBlock& block = open[entry];
-    DeltaEntryAccum* delta = nullptr;
-    if (tables.delta_window_ns > 0) {
-      auto [it, inserted] = out.delta_windows.try_emplace(block.window);
-      if (inserted) it->second.resize(entries);
-      delta = &it->second[entry];
-    }
-    validator.validate(entry, block, out.classes[entry], delta, tel);
+    auto [it, inserted] = out.windows.try_emplace(block.window);
+    if (inserted) it->second.resize(entries);
+    validator.validate(entry, block, it->second[entry], tel);
     block.rows = 0;
   };
 
@@ -159,54 +156,35 @@ MonitorReport MonitorEngine::run(const std::vector<net::Packet>& packets,
                   results[p]);
   });
 
-  const std::size_t entries = tables.entry_names.size();
-  std::vector<ClassAccum> merged(entries);
+  // Merge the partitions per window (window ids are semantic and every
+  // accumulator is order-independent), then fold the windows in order.
+  WindowMap windows;
   RunTotals totals;
-  for (const PartitionResult& pr : results) {
-    for (std::size_t e = 0; e < entries; ++e) {
-      merged[e].merge(pr.classes[e], options_.max_offenders);
+  obs::MonitorTelemetry counters;
+  for (PartitionResult& pr : results) {
+    for (auto& [w, accums] : pr.windows) {
+      auto [it, inserted] = windows.try_emplace(w, std::move(accums));
+      if (inserted) continue;
+      for (std::size_t e = 0; e < accums.size(); ++e) {
+        it->second[e].merge(accums[e], options_.max_offenders);
+      }
     }
     totals.merge(pr.totals);
+    counters.merge(pr.tel);
   }
-  MonitorReport report = build_report(
-      tables.contract.nf_name(), packets.size(), partitions,
-      options_.check_cycles, options_.epoch_ns, tables.entry_names,
-      std::move(merged), totals);
+  results.clear();
 
-  if (observations != nullptr) {
-    *observations = obs::RunObservations{};
-    if (tables.delta_window_ns > 0) {
-      // Merge the per-partition window maps. Window ids are semantic and
-      // every accumulator is order-independent, so the merged stream is
-      // byte-deterministic at any thread count.
-      std::map<std::uint64_t, std::vector<DeltaEntryAccum>> windows;
-      for (const PartitionResult& pr : results) {
-        for (const auto& [w, accums] : pr.delta_windows) {
-          auto [it, inserted] = windows.try_emplace(w);
-          if (inserted) it->second.resize(entries);
-          for (std::size_t e = 0; e < entries; ++e) {
-            it->second[e].merge(accums[e]);
-          }
-        }
-      }
-      obs::DriftDetector detector(options_.drift);
-      observations->deltas.reserve(windows.size());
-      for (const auto& [w, accums] : windows) {
-        observations->deltas.push_back(
-            build_delta_window(w, tables.delta_window_ns, tables.entry_names,
-                               accums, detector, &observations->alerts));
-      }
+  // Without observations nobody reads the delta stream, so none renders.
+  RunFold fold(tables.contract.nf_name(), tables.entry_names, options_,
+               observations != nullptr ? tables.delta_window_ns : 0);
+  if (observations != nullptr) *observations = obs::RunObservations{};
+  for (const auto& [w, accums] : windows) {
+    obs::DeltaWindow dw;
+    if (fold.close(w, accums, RunTotals{}, &dw)) {
+      observations->deltas.push_back(std::move(dw));
     }
-    // Fold the per-partition telemetry, then mirror the merge-time facts
-    // the report already computed.
-    obs::MonitorTelemetry& tel = observations->telemetry;
-    for (const PartitionResult& pr : results) tel.merge(pr.tel);
-    tel.epoch_sweeps = report.epoch_sweeps;
-    tel.state_high_water = report.state_high_water;
-    tel.delta_windows = observations->deltas.size();
-    tel.drift_alerts = observations->alerts.size();
   }
-  return report;
+  return fold.finish(packets.size(), totals, counters, observations);
 }
 
 }  // namespace bolt::monitor

@@ -4,14 +4,13 @@
 // end-of-run. Delta mode turns it into a time series: packets are bucketed
 // into windows of `delta_every` epochs purely by their timestamp
 // (window = ts / (epoch_ns * delta_every) — a function of the packet, not
-// of scheduling), each window accumulates per-class violation counts and
-// headroom sketches, and the per-partition window maps are merged once at
-// end of run exactly like the main report's accumulators. Because the
-// window key is semantic and every accumulator is merge-order independent,
-// the delta stream is byte-deterministic across the execution-only knobs
-// (threads x engine), and merging all of a
-// run's window sketches reproduces the final report's sketch state —
-// tests/test_obs.cpp locks both properties down.
+// of scheduling), each window accumulates the main report's own per-class
+// accumulators, and monitor::RunFold renders each closed window from them
+// before folding it into the report. Because the window key is semantic
+// and every accumulator is merge-order independent, the delta stream is
+// byte-deterministic across the execution-only knobs (threads x engine),
+// and merging all of a run's window sketches reproduces the final report's
+// sketch state — tests/test_obs.cpp locks both properties down.
 //
 // Each window renders as one JSON line (JSONL), so an operator can tail
 // the stream (`bolt_cli monitor --watch`), archive it (`--delta-out`), or

@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "monitor/follow.h"
 #include "support/assert.h"
 #include "support/io.h"
 #include "support/json.h"
@@ -22,6 +23,22 @@ using monitor::Offender;
 using monitor::RunTotals;
 using support::JsonReader;
 using support::json_quote_into;
+
+/// Reads past the `,"key":` that opens the next member of an object.
+void next_key(JsonReader& r, const char* key) {
+  r.expect(',');
+  r.key(key);
+}
+
+std::uint64_t next_u64(JsonReader& r, const char* key) {
+  next_key(r, key);
+  return static_cast<std::uint64_t>(r.integer());
+}
+
+bool next_bool(JsonReader& r, const char* key) {
+  next_key(r, key);
+  return r.boolean();
+}
 
 void sketch_to_json(std::string& out, const perf::QuantileSketch& s) {
   out += "{\"count\":" + std::to_string(s.count());
@@ -41,14 +58,9 @@ perf::QuantileSketch parse_sketch(JsonReader& r) {
   r.expect('{');
   r.key("count");
   const std::uint64_t count = static_cast<std::uint64_t>(r.integer());
-  r.expect(',');
-  r.key("min");
-  const std::uint64_t min = static_cast<std::uint64_t>(r.integer());
-  r.expect(',');
-  r.key("max");
-  const std::uint64_t max = static_cast<std::uint64_t>(r.integer());
-  r.expect(',');
-  r.key("buckets");
+  const std::uint64_t min = next_u64(r, "min");
+  const std::uint64_t max = next_u64(r, "max");
+  next_key(r, "buckets");
   r.expect('[');
   std::vector<std::pair<std::uint32_t, std::uint64_t>> buckets;
   if (!r.try_consume(']')) {
@@ -91,28 +103,19 @@ MetricAccum parse_metric_accum(JsonReader& r) {
   r.expect('{');
   r.key("violations");
   m.violations = static_cast<std::uint64_t>(r.integer());
-  r.expect(',');
-  r.key("has_worst");
-  m.has_worst = r.boolean();
-  r.expect(',');
-  r.key("worst_packet");
-  m.worst_packet = static_cast<std::uint64_t>(r.integer());
-  r.expect(',');
-  r.key("worst_predicted");
+  m.has_worst = next_bool(r, "has_worst");
+  m.worst_packet = next_u64(r, "worst_packet");
+  next_key(r, "worst_predicted");
   m.worst_predicted = r.integer();
-  r.expect(',');
-  r.key("worst_measured");
-  m.worst_measured = static_cast<std::uint64_t>(r.integer());
-  r.expect(',');
-  r.key("histogram");
+  m.worst_measured = next_u64(r, "worst_measured");
+  next_key(r, "histogram");
   r.expect('[');
   for (std::size_t b = 0; b < m.histogram.size(); ++b) {
     if (b > 0) r.expect(',');
     m.histogram[b] = static_cast<std::uint64_t>(r.integer());
   }
   r.expect(']');
-  r.expect(',');
-  r.key("headroom");
+  next_key(r, "headroom");
   m.headroom_pm = parse_sketch(r);
   r.expect('}');
   return m;
@@ -148,22 +151,17 @@ ClassAccum parse_class_accum(JsonReader& r, std::string* name) {
   r.expect('{');
   r.key("input_class");
   *name = r.string();
-  r.expect(',');
-  r.key("packets");
-  acc.packets = static_cast<std::uint64_t>(r.integer());
-  r.expect(',');
-  r.key("metrics");
+  acc.packets = next_u64(r, "packets");
+  next_key(r, "metrics");
   r.expect('[');
   for (std::size_t m = 0; m < acc.metrics.size(); ++m) {
     if (m > 0) r.expect(',');
     acc.metrics[m] = parse_metric_accum(r);
   }
   r.expect(']');
-  r.expect(',');
-  r.key("violation_margin");
+  next_key(r, "violation_margin");
   acc.violation_margin_pm = parse_sketch(r);
-  r.expect(',');
-  r.key("offenders");
+  next_key(r, "offenders");
   r.expect('[');
   if (!r.try_consume(']')) {
     do {
@@ -205,34 +203,20 @@ void telemetry_fields_to_json(std::string& out, const MonitorTelemetry& t) {
 
 MonitorTelemetry parse_telemetry_fields(JsonReader& r) {
   MonitorTelemetry t;
-  const auto u64 = [&](const char* k) {
-    r.key(k);
-    const std::uint64_t v = static_cast<std::uint64_t>(r.integer());
-    return v;
-  };
   r.expect('{');
-  t.packets_executed = u64("packets_executed");
-  r.expect(',');
-  t.attr_memo_hits = u64("attr_memo_hits");
-  r.expect(',');
-  t.batches_emitted = u64("batches_emitted");
-  r.expect(',');
-  t.batch_rows = u64("batch_rows");
-  r.expect(',');
-  r.key("batch_fill");
+  r.key("packets_executed");
+  t.packets_executed = static_cast<std::uint64_t>(r.integer());
+  t.attr_memo_hits = next_u64(r, "attr_memo_hits");
+  t.batches_emitted = next_u64(r, "batches_emitted");
+  t.batch_rows = next_u64(r, "batch_rows");
+  next_key(r, "batch_fill");
   t.batch_fill = parse_sketch(r);
-  r.expect(',');
-  t.vm_batch_evals = u64("vm_batch_evals");
-  r.expect(',');
-  t.rows_validated = u64("rows_validated");
-  r.expect(',');
-  t.epoch_sweeps = u64("epoch_sweeps");
-  r.expect(',');
-  t.state_high_water = u64("state_high_water");
-  r.expect(',');
-  t.delta_windows = u64("delta_windows");
-  r.expect(',');
-  t.drift_alerts = u64("drift_alerts");
+  t.vm_batch_evals = next_u64(r, "vm_batch_evals");
+  t.rows_validated = next_u64(r, "rows_validated");
+  t.epoch_sweeps = next_u64(r, "epoch_sweeps");
+  t.state_high_water = next_u64(r, "state_high_water");
+  t.delta_windows = next_u64(r, "delta_windows");
+  t.drift_alerts = next_u64(r, "drift_alerts");
   r.expect('}');
   return t;
 }
@@ -256,24 +240,64 @@ void parse_header(JsonReader& r, const char* kind, std::string* nf,
   if (schema != kFleetSchemaVersion) {
     r.fail("unsupported fleet partial schema v" + std::to_string(schema));
   }
-  r.expect(',');
-  r.key("kind");
+  next_key(r, "kind");
   const std::string k = r.string();
   if (k != kind) {
     r.fail("expected kind '" + std::string(kind) + "', got '" + k + "'");
   }
-  r.expect(',');
-  r.key("nf");
+  next_key(r, "nf");
   *nf = r.string();
-  r.expect(',');
-  r.key("instance");
-  *instance = static_cast<std::uint32_t>(r.integer());
-  r.expect(',');
-  r.key("instances");
-  *instances = static_cast<std::uint32_t>(r.integer());
+  *instance = static_cast<std::uint32_t>(next_u64(r, "instance"));
+  *instances = static_cast<std::uint32_t>(next_u64(r, "instances"));
 }
 
 }  // namespace
+
+WindowPartial window_partial(const monitor::StreamMonitor& sm,
+                             const monitor::ClosedWindow& cw) {
+  WindowPartial wp;
+  wp.nf = sm.nf_name();
+  wp.instance = sm.fleet().instance;
+  wp.instances = sm.fleet().instances;
+  wp.window = cw.window;
+  wp.window_ns = cw.window_ns;
+  for (std::size_t e = 0; e < cw.accums->size(); ++e) {
+    const ClassAccum& acc = (*cw.accums)[e];
+    if (acc.packets == 0) continue;
+    wp.classes.push_back(sm.entry_names()[e]);
+    wp.accums.push_back(acc);
+  }
+  const monitor::WindowStats& stats = *cw.stats;
+  wp.packets = stats.packets;
+  wp.unattributed = stats.unattributed;
+  wp.first_unattributed = stats.first_unattributed;
+  wp.any_unattributed = stats.any_unattributed;
+  wp.epoch_sweeps = stats.epoch_sweeps;
+  wp.expired_idle = stats.expired_idle;
+  wp.high_water = stats.high_water;
+  wp.late_packets = stats.late_packets;
+  return wp;
+}
+
+FinalPartial final_partial(const monitor::StreamMonitor& sm,
+                           const monitor::StreamResult& result) {
+  const monitor::MonitorOptions& options = sm.options();
+  FinalPartial fp;
+  fp.nf = sm.nf_name();
+  fp.instance = sm.fleet().instance;
+  fp.instances = sm.fleet().instances;
+  fp.stream_packets = sm.packets_fed();
+  fp.partitions = options.partitions;
+  fp.cycles_checked = options.check_cycles;
+  fp.epoch_ns = options.epoch_ns;
+  fp.max_offenders = options.max_offenders;
+  fp.entries = sm.entry_names();
+  fp.residents = result.report.state_residents;
+  fp.state_tracked = result.report.state_tracked;
+  fp.has_telemetry = options.telemetry;
+  fp.telemetry = result.observations.telemetry;
+  return fp;
+}
 
 std::string window_partial_to_json(const WindowPartial& p) {
   std::string out;
@@ -302,41 +326,21 @@ WindowPartial parse_window_partial(const std::string& text) {
   JsonReader r(text, "fleet window partial");
   WindowPartial p;
   parse_header(r, "window", &p.nf, &p.instance, &p.instances);
-  r.expect(',');
-  r.key("window");
-  p.window = static_cast<std::uint64_t>(r.integer());
-  r.expect(',');
-  r.key("window_ns");
-  p.window_ns = static_cast<std::uint64_t>(r.integer());
-  r.expect(',');
-  r.key("stats");
+  p.window = next_u64(r, "window");
+  p.window_ns = next_u64(r, "window_ns");
+  next_key(r, "stats");
   r.expect('{');
   r.key("packets");
   p.packets = static_cast<std::uint64_t>(r.integer());
-  r.expect(',');
-  r.key("unattributed");
-  p.unattributed = static_cast<std::uint64_t>(r.integer());
-  r.expect(',');
-  r.key("first_unattributed");
-  p.first_unattributed = static_cast<std::uint64_t>(r.integer());
-  r.expect(',');
-  r.key("any_unattributed");
-  p.any_unattributed = r.boolean();
-  r.expect(',');
-  r.key("epoch_sweeps");
-  p.epoch_sweeps = static_cast<std::uint64_t>(r.integer());
-  r.expect(',');
-  r.key("expired_idle");
-  p.expired_idle = static_cast<std::uint64_t>(r.integer());
-  r.expect(',');
-  r.key("high_water");
-  p.high_water = static_cast<std::uint64_t>(r.integer());
-  r.expect(',');
-  r.key("late_packets");
-  p.late_packets = static_cast<std::uint64_t>(r.integer());
+  p.unattributed = next_u64(r, "unattributed");
+  p.first_unattributed = next_u64(r, "first_unattributed");
+  p.any_unattributed = next_bool(r, "any_unattributed");
+  p.epoch_sweeps = next_u64(r, "epoch_sweeps");
+  p.expired_idle = next_u64(r, "expired_idle");
+  p.high_water = next_u64(r, "high_water");
+  p.late_packets = next_u64(r, "late_packets");
   r.expect('}');
-  r.expect(',');
-  r.key("classes");
+  next_key(r, "classes");
   r.expect('[');
   if (!r.try_consume(']')) {
     do {
@@ -383,23 +387,12 @@ FinalPartial parse_final_partial(const std::string& text) {
   JsonReader r(text, "fleet final partial");
   FinalPartial p;
   parse_header(r, "final", &p.nf, &p.instance, &p.instances);
-  r.expect(',');
-  r.key("stream_packets");
-  p.stream_packets = static_cast<std::uint64_t>(r.integer());
-  r.expect(',');
-  r.key("partitions");
-  p.partitions = static_cast<std::uint64_t>(r.integer());
-  r.expect(',');
-  r.key("cycles_checked");
-  p.cycles_checked = r.boolean();
-  r.expect(',');
-  r.key("epoch_ns");
-  p.epoch_ns = static_cast<std::uint64_t>(r.integer());
-  r.expect(',');
-  r.key("max_offenders");
-  p.max_offenders = static_cast<std::uint64_t>(r.integer());
-  r.expect(',');
-  r.key("entries");
+  p.stream_packets = next_u64(r, "stream_packets");
+  p.partitions = next_u64(r, "partitions");
+  p.cycles_checked = next_bool(r, "cycles_checked");
+  p.epoch_ns = next_u64(r, "epoch_ns");
+  p.max_offenders = next_u64(r, "max_offenders");
+  next_key(r, "entries");
   r.expect('[');
   if (!r.try_consume(']')) {
     do {
@@ -407,14 +400,9 @@ FinalPartial parse_final_partial(const std::string& text) {
     } while (r.try_consume(','));
     r.expect(']');
   }
-  r.expect(',');
-  r.key("residents");
-  p.residents = static_cast<std::uint64_t>(r.integer());
-  r.expect(',');
-  r.key("state_tracked");
-  p.state_tracked = r.boolean();
-  r.expect(',');
-  r.key("telemetry");
+  p.residents = next_u64(r, "residents");
+  p.state_tracked = next_bool(r, "state_tracked");
+  next_key(r, "telemetry");
   if (r.try_consume('n')) {
     // "null" — the reader has consumed 'n'; eat the rest by hand.
     r.expect('u');
@@ -535,13 +523,19 @@ FleetMergeResult merge_partials(const std::vector<WindowPartial>& windows,
   for (std::size_t e = 0; e < entry_names.size(); ++e) {
     entry_index.emplace(entry_names[e], e);
   }
-  const std::size_t cap = static_cast<std::size_t>(ref.max_offenders);
+  monitor::MonitorOptions shape;
+  shape.partitions = static_cast<std::size_t>(ref.partitions);
+  shape.check_cycles = ref.cycles_checked;
+  shape.epoch_ns = ref.epoch_ns;
+  shape.max_offenders = static_cast<std::size_t>(ref.max_offenders);
+  shape.drift = drift;
 
-  // Fold instances into per-window merged state (std::map: windows walk in
-  // ascending order, which the drift replay requires).
+  // Merge instances per window (std::map: the fold takes windows in
+  // ascending order). Window bookkeeping is window-independent sums,
+  // minima and maxima, so it folds straight into the run's tail.
   std::uint64_t window_ns = 0;
   std::map<std::uint64_t, std::vector<ClassAccum>> merged_windows;
-  RunTotals totals;
+  RunTotals tail;
   for (const auto& [key, w] : window_by_key) {
     if (w->window_ns > 0) {
       BOLT_CHECK(window_ns == 0 || window_ns == w->window_ns,
@@ -555,7 +549,7 @@ FleetMergeResult merge_partials(const std::vector<WindowPartial>& windows,
       BOLT_CHECK(at != entry_index.end(),
                  "fleet merge: window partial names unknown class '" +
                      w->classes[c] + "'");
-      it->second[at->second].merge(w->accums[c], cap);
+      it->second[at->second].merge(w->accums[c], shape.max_offenders);
     }
     RunTotals wt;
     wt.unattributed = w->unattributed;
@@ -564,59 +558,29 @@ FleetMergeResult merge_partials(const std::vector<WindowPartial>& windows,
     wt.epoch_sweeps = w->epoch_sweeps;
     wt.expired_idle = w->expired_idle;
     wt.high_water = w->high_water;
-    totals.merge(wt);
-  }
-
-  FleetMergeResult out;
-
-  // Walk merged windows in ascending order: render the delta line (when
-  // the window has attributed traffic and delta mode was on — exactly the
-  // windows a single instance's stream would contain) and fold the window
-  // into the grand per-class accumulators.
-  std::vector<ClassAccum> grand(entry_names.size());
-  DriftDetector detector(drift);
-  for (auto& [window, accums] : merged_windows) {
-    std::uint64_t attributed = 0;
-    for (const ClassAccum& acc : accums) attributed += acc.packets;
-    if (attributed > 0 && window_ns > 0) {
-      std::vector<monitor::DeltaEntryAccum> slices;
-      slices.reserve(accums.size());
-      for (const ClassAccum& acc : accums) {
-        slices.push_back(monitor::delta_slice(acc));
-      }
-      out.observations.deltas.push_back(
-          monitor::build_delta_window(window, window_ns, entry_names, slices,
-                                      detector, &out.observations.alerts));
-    }
-    for (std::size_t e = 0; e < grand.size(); ++e) {
-      grand[e].merge(accums[e], cap);
-    }
+    tail.merge(wt);
   }
 
   // Stream length: every instance fed the full stream, so finals agree;
   // max tolerates an instance that was drained early.
   std::uint64_t stream_packets = 0;
-  bool any_telemetry = false;
+  MonitorTelemetry counters;
   for (const auto& [instance, f] : final_by_instance) {
     stream_packets = std::max(stream_packets, f->stream_packets);
-    totals.residents += f->residents;
-    totals.state_tracked = totals.state_tracked || f->state_tracked;
-    if (f->has_telemetry) {
-      any_telemetry = true;
-      out.observations.telemetry.merge(f->telemetry);
+    tail.residents += f->residents;
+    tail.state_tracked = tail.state_tracked || f->state_tracked;
+    if (f->has_telemetry) counters.merge(f->telemetry);
+  }
+
+  FleetMergeResult out;
+  monitor::RunFold fold(ref.nf, entry_names, shape, window_ns);
+  for (const auto& [window, accums] : merged_windows) {
+    DeltaWindow dw;
+    if (fold.close(window, accums, RunTotals{}, &dw)) {
+      out.observations.deltas.push_back(std::move(dw));
     }
   }
-  (void)any_telemetry;
-
-  out.report = monitor::build_report(
-      ref.nf, stream_packets, static_cast<std::size_t>(ref.partitions),
-      ref.cycles_checked, ref.epoch_ns, entry_names, std::move(grand), totals);
-
-  // Mirror the merge-time facts exactly like the engines do.
-  out.observations.telemetry.epoch_sweeps = out.report.epoch_sweeps;
-  out.observations.telemetry.state_high_water = out.report.state_high_water;
-  out.observations.telemetry.delta_windows = out.observations.deltas.size();
-  out.observations.telemetry.drift_alerts = out.observations.alerts.size();
+  out.report = fold.finish(stream_packets, tail, counters, &out.observations);
   return out;
 }
 

@@ -3,22 +3,24 @@
 //
 // A fleet deployment runs N streaming monitors (monitor/follow.h) over the
 // same traffic, each owning a disjoint subset of the flow-affine
-// partitions. Every instance spools one *window partial* per closed delta
+// partitions. Every instance spools one *window partial* per closed
 // window (its per-class accumulators plus the window's run bookkeeping)
 // and one *final partial* at drain (stream length, state residents,
-// telemetry). `bolt_cli merge` — or merge_partials() directly — folds any
+// telemetry); window_partial() and final_partial() are the one producer of
+// each. `bolt_cli merge` — or merge_partials() directly — folds any
 // subset ordering of those files into a fleet-wide delta stream and final
 // report that are byte-identical to a single monitor over the concatenated
 // traffic:
 //
 //  * every serialised accumulator is order-independent (monitor/accum.h),
-//    so instances and windows can merge in any order;
+//    so instances merge per window in any order;
 //  * duplicated partials (a retried upload, a copied spool) deduplicate by
 //    (instance, window) before merging;
-//  * the merged state renders through the same build_report /
-//    build_delta_window paths as the batch engine, and the drift detector
-//    replays over the merged window sequence in ascending order — alerts
-//    land in the same windows a single instance would have raised them in.
+//  * the merged windows then close, in ascending order, through the same
+//    monitor::RunFold as the batch engine's and every stream instance's —
+//    one fold renders the delta lines, replays the drift detector (alerts
+//    land in the same windows a single instance would have raised them
+//    in) and renders the report.
 //
 // The partial format is schema-versioned JSON (one object per file;
 // docs/OBSERVABILITY.md "Fleet partial schema"). Quantile sketches travel
@@ -33,6 +35,12 @@
 
 #include "monitor/accum.h"
 #include "obs/telemetry.h"
+
+namespace bolt::monitor {
+class StreamMonitor;
+struct ClosedWindow;
+struct StreamResult;
+}  // namespace bolt::monitor
 
 namespace bolt::obs {
 
@@ -84,6 +92,14 @@ struct FinalPartial {
   bool has_telemetry = false;
   MonitorTelemetry telemetry;  ///< valid when has_telemetry
 };
+
+/// The partial `sm` spools for closed window `cw` (only classes with
+/// traffic are listed).
+WindowPartial window_partial(const monitor::StreamMonitor& sm,
+                             const monitor::ClosedWindow& cw);
+/// The partial `sm` spools at drain, from its finish() result.
+FinalPartial final_partial(const monitor::StreamMonitor& sm,
+                           const monitor::StreamResult& result);
 
 /// Canonical JSON (one object, fixed key order — the byte layout is part
 /// of the schema, like every other artifact in this repo).

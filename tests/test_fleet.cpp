@@ -11,6 +11,8 @@
 //    partials merged in random order with a duplicated file thrown in,
 //    reconstruct the single-instance report and delta stream byte for
 //    byte (the property 'bolt_cli merge' ships on);
+//  * batch, a drained stream and a merged fleet mirror the same merge-time
+//    telemetry facts, and unattributed packets survive a fleet merge;
 //  * partials round-trip through their schema-versioned JSON exactly, and
 //    the spool reader picks up precisely the files the naming scheme owns;
 //  * PcapTail sees records appended chunk-by-chunk, torn mid-record
@@ -37,20 +39,31 @@
 namespace bolt::obs {
 namespace {
 
-struct RouterFixture {
+/// A contract generated in-process, with the registry its PCVs use.
+struct NfFixture {
   perf::PcvRegistry reg;
   core::GenerationResult gen;
 };
+using RouterFixture = NfFixture;
+
+NfFixture* generate(const char* nf) {
+  auto* r = new NfFixture;
+  core::NfTarget target;
+  EXPECT_TRUE(core::make_named_target(nf, r->reg, target));
+  core::ContractGenerator g(r->reg);
+  r->gen = g.generate(target.analysis());
+  return r;
+}
 
 RouterFixture& router() {
-  static RouterFixture* f = [] {
-    auto* r = new RouterFixture;
-    core::NfTarget target;
-    EXPECT_TRUE(core::make_named_target("router", r->reg, target));
-    core::ContractGenerator g(r->reg);
-    r->gen = g.generate(target.analysis());
-    return r;
-  }();
+  static RouterFixture* f = generate("router");
+  return *f;
+}
+
+/// NAT keeps per-flow state, so its runs sweep epochs and mark a state
+/// high water; the router's do neither.
+NfFixture& nat() {
+  static NfFixture* f = generate("nat");
   return *f;
 }
 
@@ -59,6 +72,17 @@ const std::vector<net::Packet>& drift_packets() {
     net::DriftSpec spec;
     spec.packets_per_window = 200;  // 11 windows x 200 = 2200 packets
     return net::drift_traffic(spec);
+  }());
+  return *p;
+}
+
+/// A compressed week of NAT traffic: many windows, epoch sweeps and
+/// several classes.
+const std::vector<net::Packet>& longrun_packets() {
+  static auto* p = new std::vector<net::Packet>([] {
+    net::LongRunSpec spec;
+    spec.packet_count = 20'000;
+    return net::long_run_traffic(spec);
   }());
   return *p;
 }
@@ -84,12 +108,8 @@ StreamRun run_stream(const std::vector<net::Packet>& packets,
                      monitor::FleetOptions fleet,
                      std::size_t idle_flush_every = 0) {
   RouterFixture& f = router();
-  const monitor::MonitorOptions opts = stream_options();
-  std::vector<std::string> names;
-  for (const auto& e : f.gen.contract.entries()) {
-    names.push_back(e.input_class);
-  }
   StreamRun out;
+  const monitor::StreamMonitor* stream = nullptr;  // set once constructed
   auto on_window = [&](const monitor::ClosedWindow& cw) {
     if (cw.provisional) ++out.provisional_emits;
     if (cw.has_delta && !cw.provisional) {
@@ -97,31 +117,13 @@ StreamRun run_stream(const std::vector<net::Packet>& packets,
       out.delta_jsonl += '\n';
     }
     if (cw.provisional || cw.stats->packets == 0) return;
-    WindowPartial wp;
-    wp.nf = f.gen.contract.nf_name();
-    wp.instance = fleet.instance;
-    wp.instances = fleet.instances;
-    wp.window = cw.window;
-    wp.window_ns = cw.window_ns;
-    for (std::size_t e = 0; e < cw.accums->size(); ++e) {
-      const monitor::ClassAccum& acc = (*cw.accums)[e];
-      if (acc.packets == 0) continue;
-      wp.classes.push_back(names[e]);
-      wp.accums.push_back(acc);
-    }
-    wp.packets = cw.stats->packets;
-    wp.unattributed = cw.stats->unattributed;
-    wp.first_unattributed = cw.stats->first_unattributed;
-    wp.any_unattributed = cw.stats->any_unattributed;
-    wp.epoch_sweeps = cw.stats->epoch_sweeps;
-    wp.expired_idle = cw.stats->expired_idle;
-    wp.high_water = cw.stats->high_water;
-    wp.late_packets = cw.stats->late_packets;
-    out.window_partials.push_back(window_partial_to_json(wp));
+    out.window_partials.push_back(
+        window_partial_to_json(window_partial(*stream, cw)));
   };
   monitor::StreamMonitor sm(f.gen.contract, f.reg,
                             monitor::MonitorEngine::named_factory("router"),
-                            opts, fleet, on_window);
+                            stream_options(), fleet, on_window);
+  stream = &sm;
   std::size_t fed = 0;
   for (const net::Packet& p : packets) {
     sm.feed(p);
@@ -132,20 +134,39 @@ StreamRun run_stream(const std::vector<net::Packet>& packets,
   monitor::StreamResult res = sm.finish();
   out.report_json = monitor::report_to_json(res.report);
   out.alerts = res.observations.alerts.size();
-  FinalPartial fp;
-  fp.nf = f.gen.contract.nf_name();
-  fp.instance = fleet.instance;
-  fp.instances = fleet.instances;
-  fp.stream_packets = sm.packets_fed();
-  fp.partitions = std::max<std::size_t>(std::size_t{1}, opts.partitions);
-  fp.cycles_checked = opts.check_cycles;
-  fp.epoch_ns = opts.epoch_ns;
-  fp.max_offenders = opts.max_offenders;
-  fp.entries = names;
-  fp.residents = res.report.state_residents;
-  fp.state_tracked = res.report.state_tracked;
-  out.final_partial = final_partial_to_json(fp);
+  out.final_partial = final_partial_to_json(final_partial(sm, res));
   return out;
+}
+
+/// An `instances`-instance fleet over `packets`: every instance's partials
+/// round-trip through their JSON, then merge as 'bolt_cli merge' does.
+FleetMergeResult run_fleet(const perf::Contract& contract,
+                           const perf::PcvRegistry& reg, const char* nf,
+                           const std::vector<net::Packet>& packets,
+                           const monitor::MonitorOptions& opts,
+                           std::uint32_t instances) {
+  std::vector<WindowPartial> windows;
+  std::vector<FinalPartial> finals;
+  for (std::uint32_t i = 0; i < instances; ++i) {
+    monitor::FleetOptions fleet;
+    fleet.instance = i;
+    fleet.instances = instances;
+    const monitor::StreamMonitor* stream = nullptr;  // set once constructed
+    auto on_window = [&](const monitor::ClosedWindow& cw) {
+      if (cw.provisional || cw.stats->packets == 0) return;
+      windows.push_back(parse_window_partial(
+          window_partial_to_json(window_partial(*stream, cw))));
+    };
+    monitor::StreamMonitor sm(contract, reg,
+                              monitor::MonitorEngine::named_factory(nf), opts,
+                              fleet, on_window);
+    stream = &sm;
+    for (const net::Packet& p : packets) sm.feed(p);
+    const monitor::StreamResult res = sm.finish();
+    finals.push_back(
+        parse_final_partial(final_partial_to_json(final_partial(sm, res))));
+  }
+  return merge_partials(windows, finals, opts.drift);
 }
 
 // ---------------------------------------------------------------------------
@@ -295,6 +316,86 @@ TEST(Fleet, SubsetOfFinalsStillMerges) {
   // stream; only instance 1's resident-state count is missing.
   EXPECT_EQ(merged.report.attributed + merged.report.unattributed,
             drift_packets().size());
+}
+
+TEST(Fleet, MergeTimeTelemetryAgreesAcrossBatchStreamAndFleet) {
+  // The four facts every shape mirrors into its telemetry at the end of
+  // the run come from the one window fold, so batch, a drained stream and
+  // a merged fleet agree. Router/drift raises alerts; NAT over a long run
+  // sweeps epochs and marks a state high water.
+  struct Case {
+    NfFixture& fixture;
+    const char* nf;
+    const std::vector<net::Packet>& packets;
+  };
+  for (const Case& c : {Case{router(), "router", drift_packets()},
+                        Case{nat(), "nat", longrun_packets()}}) {
+    const perf::Contract& contract = c.fixture.gen.contract;
+    monitor::MonitorOptions opts = stream_options();
+    opts.telemetry = true;
+    const auto factory = monitor::MonitorEngine::named_factory(c.nf);
+
+    RunObservations batch;
+    monitor::MonitorEngine(contract, c.fixture.reg, opts)
+        .run(c.packets, factory, nullptr, &batch);
+    monitor::StreamMonitor sm(contract, c.fixture.reg, factory, opts);
+    for (const net::Packet& p : c.packets) sm.feed(p);
+    const MonitorTelemetry stream = sm.finish().observations.telemetry;
+    const MonitorTelemetry fleet =
+        run_fleet(contract, c.fixture.reg, c.nf, c.packets, opts, 2)
+            .observations.telemetry;
+
+    const MonitorTelemetry& want = batch.telemetry;
+    EXPECT_GT(want.delta_windows, 0u) << c.nf;
+    for (const MonitorTelemetry* got : {&stream, &fleet}) {
+      EXPECT_EQ(got->epoch_sweeps, want.epoch_sweeps) << c.nf;
+      EXPECT_EQ(got->state_high_water, want.state_high_water) << c.nf;
+      EXPECT_EQ(got->delta_windows, want.delta_windows) << c.nf;
+      EXPECT_EQ(got->drift_alerts, want.drift_alerts) << c.nf;
+    }
+    if (std::string(c.nf) == "router") {
+      EXPECT_GT(want.drift_alerts, 0u);
+    } else {
+      EXPECT_GT(want.epoch_sweeps, 0u);
+      EXPECT_GT(want.state_high_water, 0u);
+    }
+  }
+}
+
+TEST(Fleet, UnattributedPacketsSurviveAMerge) {
+  // Drop the least-used class that sees traffic from the contract: its
+  // packets go unattributed, and the merged fleet must count them — and
+  // name the first — exactly as the batch engine does.
+  NfFixture& f = nat();
+  const monitor::MonitorOptions opts = stream_options();
+  const auto factory = monitor::MonitorEngine::named_factory("nat");
+  const monitor::MonitorReport full =
+      monitor::MonitorEngine(f.gen.contract, f.reg, opts)
+          .run(longrun_packets(), factory);
+  const monitor::ClassReport* dropped = nullptr;
+  for (const monitor::ClassReport& c : full.classes) {
+    if (c.packets > 0 && (dropped == nullptr || c.packets < dropped->packets)) {
+      dropped = &c;
+    }
+  }
+  ASSERT_NE(dropped, nullptr);
+  perf::Contract partial(f.gen.contract.nf_name());
+  for (const perf::ContractEntry& e : f.gen.contract.entries()) {
+    if (e.input_class != dropped->input_class) partial.add(e);
+  }
+
+  const monitor::MonitorReport batch =
+      monitor::MonitorEngine(partial, f.reg, opts).run(longrun_packets(),
+                                                       factory);
+  const FleetMergeResult merged =
+      run_fleet(partial, f.reg, "nat", longrun_packets(), opts, 2);
+  ASSERT_GT(batch.unattributed, 0u);
+  ASSERT_GT(batch.attributed, 0u);
+  EXPECT_EQ(merged.report.unattributed, batch.unattributed);
+  EXPECT_EQ(merged.report.first_unattributed_packet,
+            batch.first_unattributed_packet);
+  EXPECT_EQ(monitor::report_to_json(merged.report),
+            monitor::report_to_json(batch));
 }
 
 // ---------------------------------------------------------------------------

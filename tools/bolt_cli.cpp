@@ -128,6 +128,22 @@ int cmd_contract(const std::string& nf, bool per_path, bool as_json,
   return 0;
 }
 
+/// The strict decimal parse every numeric argument goes through, flag or
+/// positional: the whole text must be the number, in range. strtoull alone
+/// would accept a sign or leading space, and wrap "-1" to 2^64-1 (a
+/// partition or packet count that size aborts in allocation). Otherwise
+/// prints `error: bad WHAT value 'TEXT'` and exits 2.
+std::uint64_t parse_number(const char* what, const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const std::uint64_t v = std::strtoull(text, &end, 10);
+  if (text[0] < '0' || text[0] > '9' || *end != '\0' || errno == ERANGE) {
+    std::fprintf(stderr, "error: bad %s value '%s'\n", what, text);
+    std::exit(2);
+  }
+  return v;
+}
+
 int cmd_distill(const std::string& nf, const std::string& pcap) {
   perf::PcvRegistry reg;
   core::NfTarget target;
@@ -179,12 +195,13 @@ int cmd_predict(const std::string& nf, int argc, char** argv, int first) {
   for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto eq = arg.find('=');
-    if (eq == std::string::npos || !reg.contains(arg.substr(0, eq))) {
+    const std::string name = arg.substr(0, eq);
+    if (eq == std::string::npos || !reg.contains(name)) {
       std::fprintf(stderr, "bad PCV binding '%s'\n", arg.c_str());
       return 2;
     }
-    bind.set(reg.require(arg.substr(0, eq)),
-             std::strtoull(arg.c_str() + eq + 1, nullptr, 10));
+    bind.set(reg.require(name),
+             parse_number(name.c_str(), arg.c_str() + eq + 1));
   }
 
   std::vector<std::vector<std::string>> rows;
@@ -203,53 +220,48 @@ int cmd_predict(const std::string& nf, int argc, char** argv, int first) {
   return 0;
 }
 
-/// Workload for a monitor run: explicit kind, or a default that suits the
-/// target (bridge traffic for the bridge, heavy-tailed flows otherwise).
-std::vector<net::Packet> monitor_workload(const std::string& nf,
-                                          std::string kind,
-                                          std::size_t count) {
+/// The one workload catalog, shared by 'monitor --workload' and 'gen' (so a
+/// generated pcap replays the monitor's own workload): `count` packets of
+/// `kind`, or of the default that suits `nf` when `kind` is empty (bridge
+/// traffic for the bridge, heavy-tailed flows otherwise). False for an
+/// unknown kind.
+bool monitor_workload(const std::string& nf, std::string kind,
+                      std::size_t count, std::vector<net::Packet>* out) {
   if (kind.empty()) kind = nf == "bridge" ? "bridge" : "zipf";
   if (kind == "uniform") {
     net::UniformSpec spec;
     spec.packet_count = count;
-    return net::uniform_random_traffic(spec);
-  }
-  if (kind == "churn") {
+    *out = net::uniform_random_traffic(spec);
+  } else if (kind == "churn") {
     net::ChurnSpec spec;
     spec.packet_count = count;
     spec.churn = 0.05;
-    return net::churn_traffic(spec);
-  }
-  if (kind == "zipf") {
+    *out = net::churn_traffic(spec);
+  } else if (kind == "zipf") {
     net::ZipfSpec spec;
     spec.packet_count = count;
     spec.flow_pool = 2048;
     spec.skew = 1.1;
-    return net::zipf_traffic(spec);
-  }
-  if (kind == "bridge") {
+    *out = net::zipf_traffic(spec);
+  } else if (kind == "bridge") {
     net::BridgeSpec spec;
     spec.packet_count = count;
     spec.stations = 1000;
     spec.broadcast_fraction = 0.05;
-    return net::bridge_traffic(spec);
-  }
-  if (kind == "attack") {
+    *out = net::bridge_traffic(spec);
+  } else if (kind == "attack") {
     net::BridgeAttackSpec spec;
     spec.packet_count = count;
-    return net::bridge_collision_attack(spec);
-  }
-  if (kind == "heartbeat") {
+    *out = net::bridge_collision_attack(spec);
+  } else if (kind == "heartbeat") {
     net::HeartbeatSpec spec;
     spec.packet_count = count;
-    return net::heartbeat_traffic(spec);
-  }
-  if (kind == "longrun") {
+    *out = net::heartbeat_traffic(spec);
+  } else if (kind == "longrun") {
     net::LongRunSpec spec;
     spec.packet_count = count;
-    return net::long_run_traffic(spec);
-  }
-  if (kind == "drift") {
+    *out = net::long_run_traffic(spec);
+  } else if (kind == "drift") {
     net::DriftSpec spec;
     // The erosion schedule (windows, ramp) is the spec's; --packets only
     // scales the per-window density.
@@ -257,9 +269,11 @@ std::vector<net::Packet> monitor_workload(const std::string& nf,
       spec.packets_per_window =
           std::max<std::size_t>(std::size_t{1}, count / spec.windows);
     }
-    return net::drift_traffic(spec);
+    *out = net::drift_traffic(spec);
+  } else {
+    return false;
   }
-  return {};
+  return true;
 }
 
 /// The contract a subcommand checks traffic against: the stored artifact at
@@ -507,14 +521,8 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
   DeltaSink deltas(args);
   if (!deltas.open()) return 1;
 
-  // Contract entry names in contract order — same layout entry_names()
-  // reports, available before the monitor exists (the callback needs them).
-  std::vector<std::string> entry_names;
-  for (const auto& entry : contract.entries()) {
-    entry_names.push_back(entry.input_class);
-  }
-
   bool spool_write_failed = false;
+  const monitor::StreamMonitor* stream = nullptr;  // set once constructed
   auto on_window = [&](const monitor::ClosedWindow& cw) {
     // Delta lines are authoritative-only (a provisional flush has no drift
     // pass and would duplicate the window).
@@ -522,28 +530,9 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
     // Spool partials upsert by filename: a provisional emission is
     // overwritten by the authoritative close of the same window.
     if (!args.spool.empty() && cw.stats->packets > 0) {
-      obs::WindowPartial wp;
-      wp.nf = contract.nf_name();
-      wp.instance = fleet.instance;
-      wp.instances = fleet.instances;
-      wp.window = cw.window;
-      wp.window_ns = cw.window_ns;
-      for (std::size_t e = 0; e < cw.accums->size(); ++e) {
-        const monitor::ClassAccum& acc = (*cw.accums)[e];
-        if (acc.packets == 0) continue;
-        wp.classes.push_back(entry_names[e]);
-        wp.accums.push_back(acc);
-      }
-      wp.packets = cw.stats->packets;
-      wp.unattributed = cw.stats->unattributed;
-      wp.first_unattributed = cw.stats->first_unattributed;
-      wp.any_unattributed = cw.stats->any_unattributed;
-      wp.epoch_sweeps = cw.stats->epoch_sweeps;
-      wp.expired_idle = cw.stats->expired_idle;
-      wp.high_water = cw.stats->high_water;
-      wp.late_packets = cw.stats->late_packets;
       const std::string path =
           obs::spool_window_path(args.spool, nf, fleet.instance, cw.window);
+      const obs::WindowPartial wp = obs::window_partial(*stream, cw);
       if (!support::write_file(path, obs::window_partial_to_json(wp) + "\n")) {
         std::fprintf(stderr, "error: cannot write spool partial '%s'\n",
                      path.c_str());
@@ -554,6 +543,7 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
 
   monitor::StreamMonitor sm(contract, reg, monitor::MonitorEngine::named_factory(nf),
                             options, fleet, on_window);
+  stream = &sm;
 
   auto refresh_metrics = [&]() {
     // Mid-run refreshes are best-effort; the final write is the gated one.
@@ -605,21 +595,8 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
 
   if (!deltas.close()) return 1;
   if (!args.spool.empty()) {
-    obs::FinalPartial fp;
-    fp.nf = contract.nf_name();
-    fp.instance = fleet.instance;
-    fp.instances = fleet.instances;
-    fp.stream_packets = fed;
-    fp.partitions = std::max<std::size_t>(std::size_t{1}, options.partitions);
-    fp.cycles_checked = options.check_cycles;
-    fp.epoch_ns = options.epoch_ns;
-    fp.max_offenders = options.max_offenders;
-    fp.entries = entry_names;
-    fp.residents = result.report.state_residents;
-    fp.state_tracked = result.report.state_tracked;
-    fp.has_telemetry = options.telemetry;
-    fp.telemetry = result.observations.telemetry;
     const std::string path = obs::spool_final_path(args.spool, nf, fleet.instance);
+    const obs::FinalPartial fp = obs::final_partial(sm, result);
     if (!support::write_file(path, obs::final_partial_to_json(fp) + "\n")) {
       std::fprintf(stderr, "error: cannot write spool partial '%s'\n",
                    path.c_str());
@@ -656,8 +633,10 @@ int cmd_monitor(const std::string& nf, const MonitorCliArgs& args) {
   if (!args.follow) {
     if (!args.pcap.empty()) {
       packets = net::read_pcap(args.pcap);
-    } else {
-      packets = monitor_workload(nf, args.workload, args.packets);
+    } else if (!monitor_workload(nf, args.workload, args.packets, &packets)) {
+      std::fprintf(stderr, "error: unknown workload '%s'\n",
+                   args.workload.c_str());
+      return usage();
     }
     if (packets.empty()) {
       std::fprintf(stderr, "error: no packets to monitor\n");
@@ -1011,46 +990,7 @@ int cmd_scenarios(std::size_t threads) {
 int cmd_gen(const std::string& kind, const std::string& out,
             std::size_t count) {
   std::vector<net::Packet> packets;
-  if (kind == "uniform") {
-    net::UniformSpec spec;
-    spec.packet_count = count;
-    packets = net::uniform_random_traffic(spec);
-  } else if (kind == "churn") {
-    net::ChurnSpec spec;
-    spec.packet_count = count;
-    spec.churn = 0.1;
-    packets = net::churn_traffic(spec);
-  } else if (kind == "zipf") {
-    net::ZipfSpec spec;
-    spec.packet_count = count;
-    packets = net::zipf_traffic(spec);
-  } else if (kind == "bridge") {
-    net::BridgeSpec spec;
-    spec.packet_count = count;
-    spec.broadcast_fraction = 0.1;
-    packets = net::bridge_traffic(spec);
-  } else if (kind == "attack") {
-    net::BridgeAttackSpec spec;
-    spec.packet_count = count;
-    packets = net::bridge_collision_attack(spec);
-  } else if (kind == "heartbeat") {
-    net::HeartbeatSpec spec;
-    spec.packet_count = count;
-    packets = net::heartbeat_traffic(spec);
-  } else if (kind == "longrun") {
-    net::LongRunSpec spec;
-    spec.packet_count = count;
-    packets = net::long_run_traffic(spec);
-  } else if (kind == "drift") {
-    net::DriftSpec spec;
-    if (count > 0) {
-      spec.packets_per_window =
-          std::max<std::size_t>(std::size_t{1}, count / spec.windows);
-    }
-    packets = net::drift_traffic(spec);
-  } else {
-    return usage();
-  }
+  if (!monitor_workload("", kind, count, &packets)) return usage();
   net::write_pcap(out, packets);
   std::printf("wrote %zu packets to %s\n", packets.size(), out.c_str());
   return 0;
@@ -1081,13 +1021,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: %s requires a value\n", flag);
       std::exit(2);
     }
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(argv[++i], &end, 10);
-    if (end == argv[i] || *end != '\0') {
-      std::fprintf(stderr, "error: bad %s value '%s'\n", flag, argv[i]);
-      std::exit(2);
-    }
-    return v;
+    return parse_number(flag, argv[++i]);
   };
   AdversaryCliArgs aargs;
   // Positionals (nf names, paths, counts, k=v bindings) pass through; a
@@ -1267,9 +1201,7 @@ int main(int argc, char** argv) {
   if (cmd == "gen" && argc >= 4) {
     // The count is positional; don't mistake a trailing flag for it.
     std::size_t count = 10'000;
-    if (argc >= 5 && argv[4][0] != '-') {
-      count = std::strtoull(argv[4], nullptr, 10);
-    }
+    if (argc >= 5 && argv[4][0] != '-') count = parse_number("count", argv[4]);
     return cmd_gen(argv[2], argv[3], count);
   }
   if (cmd == "scenarios") return cmd_scenarios(threads);
