@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "support/assert.h"
+#include "support/json.h"
 #include "support/strings.h"
 
 namespace bolt::adversary {
@@ -56,35 +57,29 @@ std::string GapReport::str() const {
 }
 
 std::string gap_report_to_json(const GapReport& report) {
-  using support::json_quote_into;
-  std::string out = "{\"version\":1,\"nf\":";
-  json_quote_into(out, report.nf);
-  out += ",\"packets\":" + std::to_string(report.packets);
-  out += ",\"mismatched\":" + std::to_string(report.mismatched);
-  out += ",\"first_mismatch\":" + std::to_string(report.first_mismatch);
-  out += ",\"classes_total\":" + std::to_string(report.classes_total);
-  out += ",\"classes_reached\":" + std::to_string(report.classes_reached);
-  out += ",\"violations\":" + std::to_string(report.monitor.violations);
-  out += ",\"classes\":[";
-  bool first = true;
-  for (const ClassGap& g : report.classes) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"input_class\":";
-    json_quote_into(out, g.input_class);
-    out += ",\"planned\":" + std::to_string(g.planned);
-    out += ",\"observed\":" + std::to_string(g.observed);
-    out += ",\"reached\":" + std::string(g.reached ? "true" : "false");
-    out += ",\"violations\":" + std::to_string(g.violations);
-    out += ",\"p99_util_pm\":[" + std::to_string(g.p99_util_pm[0]) + ',' +
-           std::to_string(g.p99_util_pm[1]) + ',' +
-           std::to_string(g.p99_util_pm[2]) + ']';
-    out += ",\"note\":";
-    json_quote_into(out, g.note);
-    out += '}';
-  }
-  out += "]}";
-  return out;
+  support::JsonWriter w;
+  w.object([&] {
+    w.field("version", 1);
+    w.field("nf", report.nf);
+    w.field("packets", report.packets);
+    w.field("mismatched", report.mismatched);
+    w.field("first_mismatch", report.first_mismatch);
+    w.field("classes_total", report.classes_total);
+    w.field("classes_reached", report.classes_reached);
+    w.field("violations", report.monitor.violations);
+    w.array("classes", report.classes, [&](const ClassGap& g) {
+      w.object([&] {
+        w.field("input_class", g.input_class);
+        w.field("planned", g.planned);
+        w.field("observed", g.observed);
+        w.field("reached", g.reached);
+        w.field("violations", g.violations);
+        w.field("p99_util_pm", g.p99_util_pm);
+        w.field("note", g.note);
+      });
+    });
+  });
+  return w.take();
 }
 
 GapReport replay(const AdversarialTrace& trace, const perf::Contract& contract,

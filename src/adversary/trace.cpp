@@ -6,55 +6,134 @@
 #include "support/assert.h"
 #include "support/io.h"
 #include "support/json.h"
-#include "support/strings.h"
 
 namespace bolt::adversary {
 
 namespace {
 
+/// One sidecar row per packet: its plan plus the ingress port PCAP lacks.
+struct PlanRow {
+  std::int64_t entry = -1;  ///< contract entry; kNoEntry serialises as -1
+  std::int64_t in_port = 0;
+  std::array<std::int64_t, 3> predicted{};
+};
+
+/// The sidecar's wire-only parts (the rest lives in AdversarialTrace).
+struct Sidecar {
+  std::int64_t version = kTraceSchemaVersion;
+  std::vector<PlanRow> rows;
+};
+
+/// The one declaration of the sidecar's key order.
+template <class J, class T, class S>
+void sidecar_layout(J& j, T& trace, S& sidecar) {
+  j.object([&] {
+    j.field("version", sidecar.version);
+    j.field("nf", trace.nf);
+    j.field("contract_nf", trace.contract_nf);
+    j.field("seed", trace.seed);
+    j.field("partitions", trace.partitions);
+    j.field("epoch_ns", trace.epoch_ns);
+    j.array("classes", trace.classes, [&](auto& cp) {
+      j.object([&] {
+        j.field("input_class", cp.input_class);
+        j.field("packets", cp.packets);
+        j.field("reached", cp.reached);
+        j.field("note", cp.note);
+      });
+    });
+    j.array("packets", sidecar.rows, [&](auto& row) {
+      j.object([&] {
+        j.field("entry", row.entry);
+        j.field("in_port", row.in_port);
+        j.field("predicted", row.predicted);
+      });
+    });
+  });
+}
+
 std::string plan_to_json(const AdversarialTrace& trace) {
-  using support::json_quote_into;
-  std::string out =
-      "{\"version\":" + std::to_string(kTraceSchemaVersion) + ",\"nf\":";
-  json_quote_into(out, trace.nf);
-  out += ",\"contract_nf\":";
-  json_quote_into(out, trace.contract_nf);
-  out += ",\"seed\":" + std::to_string(trace.seed);
-  out += ",\"partitions\":" + std::to_string(trace.partitions);
-  out += ",\"epoch_ns\":" + std::to_string(trace.epoch_ns);
-  out += ",\"classes\":[";
-  bool first = true;
-  for (const ClassPlan& cp : trace.classes) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"input_class\":";
-    json_quote_into(out, cp.input_class);
-    out += ",\"packets\":" + std::to_string(cp.packets);
-    out += ",\"reached\":" + std::string(cp.reached ? "true" : "false");
-    out += ",\"note\":";
-    json_quote_into(out, cp.note);
-    out += '}';
-  }
-  out += "],\"packets\":[";
-  first = true;
+  Sidecar sidecar;
   for (std::size_t i = 0; i < trace.plans.size(); ++i) {
     const PacketPlan& plan = trace.plans[i];
-    if (!first) out += ',';
-    first = false;
-    // kNoEntry serialises as -1 (the sidecar is signed-friendly JSON).
-    const std::int64_t entry =
-        plan.entry == kNoEntry ? -1 : static_cast<std::int64_t>(plan.entry);
-    out += "{\"entry\":" + std::to_string(entry);
-    out += ",\"in_port\":" + std::to_string(trace.packets[i].in_port());
-    out += ",\"predicted\":[" + std::to_string(plan.predicted[0]) + ',' +
-           std::to_string(plan.predicted[1]) + ',' +
-           std::to_string(plan.predicted[2]) + "]}";
+    PlanRow& row = sidecar.rows.emplace_back();
+    if (plan.entry != kNoEntry) row.entry = plan.entry;
+    row.in_port = trace.packets[i].in_port();
+    row.predicted = plan.predicted;
   }
-  out += "]}";
-  return out;
+  support::JsonWriter w;
+  sidecar_layout(w, trace, sidecar);
+  return w.take();
+}
+
+/// Why the pass's rows do not make a valid plan for `trace`, or "".
+std::string plan_error(const AdversarialTrace& trace, const Sidecar& sidecar) {
+  if (trace.partitions == 0) return "partitions must be positive";
+  for (std::size_t i = 0; i < sidecar.rows.size(); ++i) {
+    const PlanRow& row = sidecar.rows[i];
+    // -1 is the explicit "no contract entry" marker; anything else must
+    // index the class table this very sidecar declared.
+    if (row.entry < -1) return "packet plan entry below -1";
+    if (row.entry >= 0 &&
+        static_cast<std::uint64_t>(row.entry) >= trace.classes.size()) {
+      return "packet plan entry " + std::to_string(row.entry) +
+             " out of range (sidecar declares " +
+             std::to_string(trace.classes.size()) + " classes)";
+    }
+    if (row.in_port < 0 || row.in_port > 0xffff) {
+      return "in_port " + std::to_string(row.in_port) +
+             " outside the 16-bit port range";
+    }
+    // Every plan must have its packet: a sidecar that outruns the pcap is
+    // a mismatched pair, never a silent drop of in_ports.
+    if (i >= trace.packets.size()) {
+      return "sidecar plan " + std::to_string(i) +
+             " has no pcap packet (pcap carries " +
+             std::to_string(trace.packets.size()) + ")";
+    }
+  }
+  // The converse truncation: fewer plans than packets (a cut-off plan
+  // array still closing its brackets cleanly, or the wrong pcap).
+  if (sidecar.rows.size() != trace.packets.size()) {
+    return "sidecar carries " + std::to_string(sidecar.rows.size()) +
+           " packet plans but the pcap carries " +
+           std::to_string(trace.packets.size()) + " packets";
+  }
+  return "";
 }
 
 }  // namespace
+
+bool decode_trace_plan(const std::string& json, AdversarialTrace* trace,
+                       std::string* error) {
+  Sidecar sidecar;
+  support::JsonReader r(json, "adversary trace json");
+  sidecar_layout(r, *trace, sidecar);
+  r.end();
+  if (sidecar.version != kTraceSchemaVersion) {
+    *error = r.invalid("unsupported trace schema version " +
+                       std::to_string(sidecar.version));
+    return false;
+  }
+  if (!r.ok()) {
+    *error = r.error();
+    return false;
+  }
+  if (const std::string why = plan_error(*trace, sidecar); !why.empty()) {
+    *error = r.invalid(why);
+    return false;
+  }
+  trace->plans.clear();
+  for (std::size_t i = 0; i < sidecar.rows.size(); ++i) {
+    const PlanRow& row = sidecar.rows[i];
+    PacketPlan& plan = trace->plans.emplace_back();
+    plan.entry = row.entry < 0 ? kNoEntry : static_cast<std::uint32_t>(row.entry);
+    plan.predicted = row.predicted;
+    // PCAP carries no ingress-port column; restore it from the sidecar.
+    trace->packets[i].set_in_port(static_cast<std::uint16_t>(row.in_port));
+  }
+  return true;
+}
 
 bool save_trace(const std::string& prefix, const AdversarialTrace& trace) {
   const std::string pcap_path = prefix + ".pcap";
@@ -77,117 +156,11 @@ bool save_trace(const std::string& prefix, const AdversarialTrace& trace) {
 AdversarialTrace load_trace(const std::string& prefix) {
   AdversarialTrace trace;
   trace.packets = net::read_pcap(prefix + ".pcap");
-
-  const std::string json =
-      support::read_file_or_die(prefix + ".json", "adversarial trace");
-  support::JsonReader r(json, "adversary trace json");
-  r.expect('{');
-  r.key("version");
-  if (r.integer() != kTraceSchemaVersion) {
-    r.fail("unsupported trace schema version");
-  }
-  r.expect(',');
-  r.key("nf");
-  trace.nf = r.string();
-  r.expect(',');
-  r.key("contract_nf");
-  trace.contract_nf = r.string();
-  r.expect(',');
-  r.key("seed");
-  trace.seed = static_cast<std::uint64_t>(r.integer());
-  r.expect(',');
-  r.key("partitions");
-  const std::int64_t partitions = r.integer();
-  if (partitions < 1) r.fail("partitions must be positive");
-  trace.partitions = static_cast<std::size_t>(partitions);
-  r.expect(',');
-  r.key("epoch_ns");
-  const std::int64_t epoch_ns = r.integer();
-  if (epoch_ns < 0) r.fail("epoch_ns must be non-negative");
-  trace.epoch_ns = static_cast<std::uint64_t>(epoch_ns);
-  r.expect(',');
-  r.key("classes");
-  r.expect('[');
-  if (!r.try_consume(']')) {
-    do {
-      r.expect('{');
-      ClassPlan cp;
-      r.key("input_class");
-      cp.input_class = r.string();
-      r.expect(',');
-      r.key("packets");
-      cp.packets = static_cast<std::uint64_t>(r.integer());
-      r.expect(',');
-      r.key("reached");
-      cp.reached = r.boolean();
-      r.expect(',');
-      r.key("note");
-      cp.note = r.string();
-      r.expect('}');
-      trace.classes.push_back(std::move(cp));
-    } while (r.try_consume(','));
-    r.expect(']');
-  }
-  r.expect(',');
-  r.key("packets");
-  r.expect('[');
-  if (!r.try_consume(']')) {
-    do {
-      r.expect('{');
-      PacketPlan plan;
-      r.key("entry");
-      const std::int64_t entry = r.integer();
-      // -1 is the explicit "no contract entry" marker; anything else must
-      // index the class table this very sidecar declared above.
-      if (entry < -1) r.fail("packet plan entry below -1");
-      if (entry >= 0 &&
-          static_cast<std::uint64_t>(entry) >= trace.classes.size()) {
-        r.fail("packet plan entry " + std::to_string(entry) +
-               " out of range (sidecar declares " +
-               std::to_string(trace.classes.size()) + " classes)");
-      }
-      plan.entry = entry < 0 ? kNoEntry : static_cast<std::uint32_t>(entry);
-      r.expect(',');
-      r.key("in_port");
-      const std::int64_t in_port = r.integer();
-      if (in_port < 0 || in_port > 0xffff) {
-        r.fail("in_port " + std::to_string(in_port) +
-               " outside the 16-bit port range");
-      }
-      r.expect(',');
-      r.key("predicted");
-      r.expect('[');
-      plan.predicted[0] = r.integer();
-      r.expect(',');
-      plan.predicted[1] = r.integer();
-      r.expect(',');
-      plan.predicted[2] = r.integer();
-      r.expect(']');
-      r.expect('}');
-      // Every plan must have its packet: a sidecar that outruns the pcap
-      // is a mismatched pair, reported at the offending plan's offset
-      // rather than silently dropping in_ports on the floor.
-      if (trace.plans.size() >= trace.packets.size()) {
-        r.fail("sidecar plan " + std::to_string(trace.plans.size()) +
-               " has no pcap packet (pcap carries " +
-               std::to_string(trace.packets.size()) + ")");
-      }
-      // PCAP carries no ingress-port column; restore it from the sidecar.
-      trace.packets[trace.plans.size()].set_in_port(
-          static_cast<std::uint16_t>(in_port));
-      trace.plans.push_back(plan);
-    } while (r.try_consume(','));
-    r.expect(']');
-  }
-  r.expect('}');
-  r.end();
-  // The converse truncation: fewer plans than packets (a cut-off plan
-  // array still closing its brackets cleanly, or a sidecar paired with the
-  // wrong pcap).
-  if (trace.plans.size() != trace.packets.size()) {
-    r.fail("sidecar carries " + std::to_string(trace.plans.size()) +
-           " packet plans but the pcap carries " +
-           std::to_string(trace.packets.size()) + " packets");
+  std::string error;
+  if (!decode_trace_plan(
+          support::read_file_or_die(prefix + ".json", "adversarial trace"),
+          &trace, &error)) {
+    support::fatal(error, __FILE__, __LINE__);
   }
   return trace;
 }

@@ -24,9 +24,17 @@ inline constexpr std::int64_t kTraceSchemaVersion = 1;
 /// (never leaves a truncated pair behind).
 bool save_trace(const std::string& prefix, const AdversarialTrace& trace);
 
-/// Loads a trace pair back. Aborts loudly on missing files, malformed
-/// JSON, a schema-version mismatch, or a pcap/sidecar packet-count
-/// disagreement.
+/// Decodes a plan sidecar into `*trace`, whose `packets` must already hold
+/// the pair's pcap (their ingress ports are restored from the sidecar).
+/// Returns false with `*error` ("adversary trace json: <why>[ at byte N]")
+/// on malformed JSON, a schema-version mismatch, an out-of-range entry or
+/// port, or a pcap/sidecar packet-count disagreement; `*trace` is then
+/// unspecified.
+bool decode_trace_plan(const std::string& json, AdversarialTrace* trace,
+                       std::string* error);
+
+/// Loads a trace pair back. Aborts loudly on a missing file or with
+/// decode_trace_plan()'s message.
 AdversarialTrace load_trace(const std::string& prefix);
 
 }  // namespace bolt::adversary

@@ -2,13 +2,12 @@
 
 #include <cstdio>
 
+#include "support/json.h"
 #include "support/strings.h"
 
 namespace bolt::monitor {
 
 namespace {
-
-using support::json_quote_into;
 
 std::string pct(double v) {
   char buf[32];
@@ -22,8 +21,6 @@ std::string pm(std::uint64_t per_mille) {
                 static_cast<double>(per_mille) / 10.0);
   return buf;
 }
-
-using perf::summary_to_json;
 
 }  // namespace
 
@@ -99,73 +96,57 @@ std::string MonitorReport::str() const {
 }
 
 std::string report_to_json(const MonitorReport& report) {
-  std::string out =
-      "{\"version\":" + std::to_string(kReportSchemaVersion) + ",\"nf\":";
-  json_quote_into(out, report.nf);
-  out += ",\"packets\":" + std::to_string(report.packets);
-  out += ",\"attributed\":" + std::to_string(report.attributed);
-  out += ",\"unattributed\":" + std::to_string(report.unattributed);
-  if (report.unattributed > 0) {
-    out += ",\"first_unattributed_packet\":" +
-           std::to_string(report.first_unattributed_packet);
-  }
-  out += ",\"violations\":" + std::to_string(report.violations);
-  out += ",\"partitions\":" + std::to_string(report.partitions);
-  out += ",\"cycles_checked\":";
-  out += report.cycles_checked ? "true" : "false";
-  out += ",\"state_tracked\":";
-  out += report.state_tracked ? "true" : "false";
-  out += ",\"epoch_ns\":" + std::to_string(report.epoch_ns);
-  out += ",\"epoch_sweeps\":" + std::to_string(report.epoch_sweeps);
-  out += ",\"state_expired_idle\":" + std::to_string(report.state_expired_idle);
-  out += ",\"state_high_water\":" + std::to_string(report.state_high_water);
-  out += ",\"state_residents\":" + std::to_string(report.state_residents);
-  out += ",\"classes\":[";
-  bool first_class = true;
-  for (const ClassReport& c : report.classes) {
-    if (!first_class) out += ',';
-    first_class = false;
-    out += "{\"input_class\":";
-    json_quote_into(out, c.input_class);
-    out += ",\"packets\":" + std::to_string(c.packets);
-    out += ",\"metrics\":{";
-    bool first_metric = true;
-    for (const perf::Metric m : perf::kAllMetrics) {
-      const MetricReport& mr = c.metrics[perf::metric_index(m)];
-      if (!first_metric) out += ',';
-      first_metric = false;
-      json_quote_into(out, std::string(perf::metric_name(m)));
-      out += ":{\"violations\":" + std::to_string(mr.violations);
-      out += ",\"worst_packet\":" + std::to_string(mr.worst_packet);
-      out += ",\"worst_predicted\":" + std::to_string(mr.worst_predicted);
-      out += ",\"worst_measured\":" + std::to_string(mr.worst_measured);
-      out += ",\"histogram\":[";
-      for (std::size_t b = 0; b < kUtilizationBuckets; ++b) {
-        if (b != 0) out += ',';
-        out += std::to_string(mr.histogram[b]);
-      }
-      out += "],\"headroom_pm\":";
-      summary_to_json(out, mr.headroom_pm);
-      out += '}';
+  support::JsonWriter w;
+  w.object([&] {
+    w.field("version", kReportSchemaVersion);
+    w.field("nf", report.nf);
+    w.field("packets", report.packets);
+    w.field("attributed", report.attributed);
+    w.field("unattributed", report.unattributed);
+    if (report.unattributed > 0) {
+      w.field("first_unattributed_packet", report.first_unattributed_packet);
     }
-    out += "},\"violation_margin_pm\":";
-    summary_to_json(out, c.violation_margin_pm);
-    out += ",\"offenders\":[";
-    bool first_off = true;
-    for (const Offender& o : c.offenders) {
-      if (!first_off) out += ',';
-      first_off = false;
-      out += "{\"packet\":" + std::to_string(o.packet_index);
-      out += ",\"metric\":";
-      json_quote_into(out, std::string(perf::metric_name(o.metric)));
-      out += ",\"predicted\":" + std::to_string(o.predicted);
-      out += ",\"measured\":" + std::to_string(o.measured);
-      out += '}';
-    }
-    out += "]}";
-  }
-  out += "]}";
-  return out;
+    w.field("violations", report.violations);
+    w.field("partitions", report.partitions);
+    w.field("cycles_checked", report.cycles_checked);
+    w.field("state_tracked", report.state_tracked);
+    w.field("epoch_ns", report.epoch_ns);
+    w.field("epoch_sweeps", report.epoch_sweeps);
+    w.field("state_expired_idle", report.state_expired_idle);
+    w.field("state_high_water", report.state_high_water);
+    w.field("state_residents", report.state_residents);
+    w.array("classes", report.classes, [&](const ClassReport& c) {
+      w.object([&] {
+        w.field("input_class", c.input_class);
+        w.field("packets", c.packets);
+        w.object("metrics", [&] {
+          for (const perf::Metric m : perf::kAllMetrics) {
+            const MetricReport& mr = c.metrics[perf::metric_index(m)];
+            w.object(perf::metric_name(m), [&] {
+              w.field("violations", mr.violations);
+              w.field("worst_packet", mr.worst_packet);
+              w.field("worst_predicted", mr.worst_predicted);
+              w.field("worst_measured", mr.worst_measured);
+              w.field("histogram", mr.histogram);
+              w.key("headroom_pm");
+              perf::summary_to_json(w, mr.headroom_pm);
+            });
+          }
+        });
+        w.key("violation_margin_pm");
+        perf::summary_to_json(w, c.violation_margin_pm);
+        w.array("offenders", c.offenders, [&](const Offender& o) {
+          w.object([&] {
+            w.field("packet", o.packet_index);
+            w.field("metric", perf::metric_name(o.metric));
+            w.field("predicted", o.predicted);
+            w.field("measured", o.measured);
+          });
+        });
+      });
+    });
+  });
+  return w.take();
 }
 
 }  // namespace bolt::monitor

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "support/assert.h"
+#include "support/io.h"
 
 namespace bolt::net {
 namespace {
@@ -14,108 +15,94 @@ constexpr std::uint32_t kMagicMicroSwapped = 0xd4c3b2a1;
 constexpr std::uint32_t kMagicNanoSwapped = 0x4d3cb2a1;
 constexpr std::uint32_t kLinkTypeEthernet = 1;
 
-std::uint32_t bswap32(std::uint32_t v) {
+std::uint32_t load_u32(const std::uint8_t* p, bool swapped) {
+  std::uint32_t v;
+  std::memcpy(&v, p, 4);
+  if (!swapped) return v;
   return ((v & 0xff) << 24) | ((v & 0xff00) << 8) | ((v >> 8) & 0xff00) |
          (v >> 24);
 }
 
-struct Cursor {
-  const std::uint8_t* data;
-  std::size_t size;
-  std::size_t pos = 0;
-  bool swapped = false;
-
-  bool done() const { return pos >= size; }
-
-  std::uint32_t u32() {
-    BOLT_CHECK(pos + 4 <= size, "pcap: truncated file");
-    std::uint32_t v;
-    std::memcpy(&v, data + pos, 4);
-    pos += 4;
-    return swapped ? bswap32(v) : v;
+/// Decodes the 24-byte global header at `data`. Aborts on a bad magic
+/// number or a non-Ethernet link type.
+PcapFormat decode_header(const std::uint8_t* data) {
+  PcapFormat f;
+  switch (load_u32(data, false)) {
+    case kMagicMicro: break;
+    case kMagicNano: f.nano = true; break;
+    case kMagicMicroSwapped: f.swapped = true; break;
+    case kMagicNanoSwapped:
+      f.swapped = true;
+      f.nano = true;
+      break;
+    default: BOLT_UNREACHABLE("pcap: bad magic number");
   }
-
-  std::uint16_t u16() {
-    BOLT_CHECK(pos + 2 <= size, "pcap: truncated file");
-    std::uint16_t v;
-    std::memcpy(&v, data + pos, 2);
-    pos += 2;
-    return swapped ? static_cast<std::uint16_t>((v << 8) | (v >> 8)) : v;
-  }
-};
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
-  out.push_back(static_cast<std::uint8_t>((v >> 16) & 0xff));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
+  const std::uint32_t snaplen = load_u32(data + 16, f.swapped);
+  if (snaplen > 0 && snaplen < f.max_record) f.max_record = snaplen;
+  BOLT_CHECK(load_u32(data + 20, f.swapped) == kLinkTypeEthernet,
+             "pcap: only EN10MB supported");
+  return f;
 }
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
+/// Decodes the complete records in data[pos, size) into `out` and returns
+/// the offset just past the last one: a torn trailing record is left for
+/// the caller (read_pcap rejects it, PcapTail waits for the rest). Aborts
+/// on a record longer than the header allows — a corrupt length must not
+/// be buffered for, or read past.
+std::size_t decode_records(const PcapFormat& f, const std::uint8_t* data,
+                           std::size_t size, std::size_t pos,
+                           std::vector<Packet>* out) {
+  while (size - pos >= 16) {
+    const std::uint64_t ts_sec = load_u32(data + pos, f.swapped);
+    const std::uint64_t ts_frac = load_u32(data + pos + 4, f.swapped);
+    const std::uint32_t incl_len = load_u32(data + pos + 8, f.swapped);
+    BOLT_CHECK(incl_len <= f.max_record,
+               "pcap: record of " + std::to_string(incl_len) +
+                   " bytes exceeds the snaplen " +
+                   std::to_string(f.max_record));
+    if (size - pos - 16 < incl_len) break;
+    const std::uint8_t* body = data + pos + 16;
+    out->emplace_back(std::vector<std::uint8_t>(body, body + incl_len),
+                      ts_sec * 1'000'000'000ULL +
+                          (f.nano ? ts_frac : ts_frac * 1'000ULL));
+    pos += 16 + incl_len;
+  }
+  return pos;
+}
+
+/// Appends `v` little-endian.
+template <class T> void put(std::vector<std::uint8_t>& out, T v) {
+  for (std::size_t i = 0; i < sizeof v; ++i) {
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
 }
 
 }  // namespace
 
 std::vector<Packet> parse_pcap(const std::vector<std::uint8_t>& bytes) {
-  Cursor cur{bytes.data(), bytes.size()};
   BOLT_CHECK(bytes.size() >= 24, "pcap: file shorter than global header");
-
-  std::uint32_t magic;
-  std::memcpy(&magic, bytes.data(), 4);
-  bool nano = false;
-  switch (magic) {
-    case kMagicMicro: break;
-    case kMagicNano: nano = true; break;
-    case kMagicMicroSwapped: cur.swapped = true; break;
-    case kMagicNanoSwapped:
-      cur.swapped = true;
-      nano = true;
-      break;
-    default: BOLT_UNREACHABLE("pcap: bad magic number");
-  }
-  cur.pos = 4;
-  cur.u16();  // version major
-  cur.u16();  // version minor
-  cur.u32();  // thiszone
-  cur.u32();  // sigfigs
-  cur.u32();  // snaplen
-  const std::uint32_t link_type = cur.u32();
-  BOLT_CHECK(link_type == kLinkTypeEthernet, "pcap: only EN10MB supported");
-
   std::vector<Packet> packets;
-  while (!cur.done()) {
-    const std::uint64_t ts_sec = cur.u32();
-    const std::uint64_t ts_frac = cur.u32();
-    const std::uint32_t incl_len = cur.u32();
-    const std::uint32_t orig_len = cur.u32();
-    (void)orig_len;
-    BOLT_CHECK(cur.pos + incl_len <= cur.size, "pcap: truncated record");
-    std::vector<std::uint8_t> data(bytes.begin() + std::ptrdiff_t(cur.pos),
-                                   bytes.begin() + std::ptrdiff_t(cur.pos + incl_len));
-    cur.pos += incl_len;
-    const TimestampNs ts =
-        ts_sec * 1'000'000'000ULL + (nano ? ts_frac : ts_frac * 1'000ULL);
-    packets.emplace_back(std::move(data), ts);
-  }
+  const std::size_t end = decode_records(decode_header(bytes.data()),
+                                         bytes.data(), bytes.size(), 24,
+                                         &packets);
+  BOLT_CHECK(end == bytes.size(), "pcap: truncated record");
   return packets;
 }
 
 std::vector<std::uint8_t> serialize_pcap(const std::vector<Packet>& packets) {
   std::vector<std::uint8_t> out;
-  put_u32(out, kMagicNano);
-  put_u16(out, 2);   // version 2.4
-  put_u16(out, 4);
-  put_u32(out, 0);   // thiszone
-  put_u32(out, 0);   // sigfigs
-  put_u32(out, 65535);  // snaplen
-  put_u32(out, kLinkTypeEthernet);
+  put(out, kMagicNano);
+  put<std::uint16_t>(out, 2);  // version 2.4
+  put<std::uint16_t>(out, 4);
+  put<std::uint32_t>(out, 0);  // thiszone
+  put<std::uint32_t>(out, 0);  // sigfigs
+  put<std::uint32_t>(out, 65535);  // snaplen
+  put(out, kLinkTypeEthernet);
   for (const Packet& p : packets) {
-    put_u32(out, static_cast<std::uint32_t>(p.timestamp_ns() / 1'000'000'000ULL));
-    put_u32(out, static_cast<std::uint32_t>(p.timestamp_ns() % 1'000'000'000ULL));
-    put_u32(out, static_cast<std::uint32_t>(p.size()));
-    put_u32(out, static_cast<std::uint32_t>(p.size()));
+    put(out, static_cast<std::uint32_t>(p.timestamp_ns() / 1'000'000'000ULL));
+    put(out, static_cast<std::uint32_t>(p.timestamp_ns() % 1'000'000'000ULL));
+    put(out, static_cast<std::uint32_t>(p.size()));
+    put(out, static_cast<std::uint32_t>(p.size()));
     out.insert(out.end(), p.bytes().begin(), p.bytes().end());
   }
   return out;
@@ -164,52 +151,19 @@ std::vector<Packet> PcapTail::poll() {
   std::size_t pos = 0;
   if (!header_done_) {
     if (buf_.size() < 24) return out;
-    std::uint32_t magic;
-    std::memcpy(&magic, buf_.data(), 4);
-    switch (magic) {
-      case kMagicMicro: break;
-      case kMagicNano: nano_ = true; break;
-      case kMagicMicroSwapped: swapped_ = true; break;
-      case kMagicNanoSwapped:
-        swapped_ = true;
-        nano_ = true;
-        break;
-      default: BOLT_UNREACHABLE("pcap tail: bad magic number");
-    }
-    Cursor cur{buf_.data(), buf_.size(), 20, swapped_};
-    const std::uint32_t link_type = cur.u32();
-    BOLT_CHECK(link_type == kLinkTypeEthernet,
-               "pcap tail: only EN10MB supported");
+    format_ = decode_header(buf_.data());
     header_done_ = true;
     pos = 24;
   }
-
-  while (buf_.size() - pos >= 16) {
-    Cursor cur{buf_.data(), buf_.size(), pos, swapped_};
-    const std::uint64_t ts_sec = cur.u32();
-    const std::uint64_t ts_frac = cur.u32();
-    const std::uint32_t incl_len = cur.u32();
-    cur.u32();  // orig_len
-    if (buf_.size() - cur.pos < incl_len) break;  // partial record: retry
-    std::vector<std::uint8_t> data(
-        buf_.begin() + std::ptrdiff_t(cur.pos),
-        buf_.begin() + std::ptrdiff_t(cur.pos + incl_len));
-    const TimestampNs ts =
-        ts_sec * 1'000'000'000ULL + (nano_ ? ts_frac : ts_frac * 1'000ULL);
-    out.emplace_back(std::move(data), ts);
-    pos = cur.pos + incl_len;
-  }
+  pos = decode_records(format_, buf_.data(), buf_.size(), pos, &out);
   buf_.erase(buf_.begin(), buf_.begin() + std::ptrdiff_t(pos));
   return out;
 }
 
 void write_pcap(const std::string& path, const std::vector<Packet>& packets) {
   const std::vector<std::uint8_t> bytes = serialize_pcap(packets);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  BOLT_CHECK(f != nullptr, "pcap: cannot open " + path + " for writing");
-  const std::size_t put = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  BOLT_CHECK(put == bytes.size(), "pcap: short write on " + path);
+  BOLT_CHECK(support::write_file(path, std::string(bytes.begin(), bytes.end())),
+             "pcap: cannot write " + path);
 }
 
 }  // namespace bolt::net

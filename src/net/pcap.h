@@ -13,6 +13,15 @@
 
 namespace bolt::net {
 
+/// A global header's decoded format. Records longer than `max_record` —
+/// the header's snaplen, capped at libpcap's 262144 (also used for a
+/// snaplen of 0) — are rejected as corrupt.
+struct PcapFormat {
+  bool swapped = false;  ///< file byte order differs from the host's
+  bool nano = false;     ///< nanosecond (not microsecond) timestamps
+  std::uint32_t max_record = 262144;
+};
+
 /// Reads all packets from a PCAP file. Aborts on malformed files (analysis
 /// inputs are trusted, truncation is a usage error we surface loudly).
 std::vector<Packet> read_pcap(const std::string& path);
@@ -31,8 +40,10 @@ std::vector<std::uint8_t> serialize_pcap(const std::vector<Packet>& packets);
 /// not exist yet, or one shorter than its global header) is simply "no
 /// data yet" and is retried on the next poll. Both timestamp resolutions
 /// and byte orders are accepted; a *malformed* header (bad magic, non-
-/// Ethernet link type) still aborts loudly, exactly like read_pcap — a
-/// tailed file must be a pcap, it is only allowed to be unfinished.
+/// Ethernet link type) or a record longer than the snaplen still aborts
+/// loudly, exactly like read_pcap — a tailed file must be a pcap, it is
+/// only allowed to be unfinished. Both readers share one header and record
+/// decoder.
 class PcapTail {
  public:
   explicit PcapTail(std::string path);
@@ -51,8 +62,7 @@ class PcapTail {
   std::string path_;
   std::FILE* f_ = nullptr;
   bool header_done_ = false;
-  bool swapped_ = false;
-  bool nano_ = false;
+  PcapFormat format_;
   std::vector<std::uint8_t> buf_;  ///< carried-over partial record bytes
 };
 

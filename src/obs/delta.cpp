@@ -1,55 +1,45 @@
 #include "obs/delta.h"
 
-#include "support/strings.h"
+#include "support/json.h"
 
 namespace bolt::obs {
 
 std::string delta_window_to_json(const DeltaWindow& w) {
-  using support::json_quote_into;
-  std::string out = "{\"version\":" + std::to_string(kDeltaSchemaVersion);
-  out += ",\"window\":" + std::to_string(w.window);
-  out += ",\"window_start_ns\":" + std::to_string(w.window * w.window_ns);
-  out += ",\"window_ns\":" + std::to_string(w.window_ns);
-  out += ",\"packets\":" + std::to_string(w.packets);
-  out += ",\"violations\":" + std::to_string(w.violations);
-  out += ",\"classes\":[";
-  bool first_class = true;
-  for (const DeltaClass& c : w.classes) {
-    if (!first_class) out += ',';
-    first_class = false;
-    out += "{\"input_class\":";
-    json_quote_into(out, c.input_class);
-    out += ",\"packets\":" + std::to_string(c.packets);
-    out += ",\"metrics\":{";
-    bool first_metric = true;
-    for (const perf::Metric m : perf::kAllMetrics) {
-      const DeltaMetric& dm = c.metrics[perf::metric_index(m)];
-      if (!first_metric) out += ',';
-      first_metric = false;
-      json_quote_into(out, std::string(perf::metric_name(m)));
-      out += ":{\"violations\":" + std::to_string(dm.violations);
-      out += ",\"headroom_pm\":";
-      perf::summary_to_json(out, perf::summarize(dm.headroom_pm));
-      out += '}';
-    }
-    out += "}}";
-  }
-  out += "],\"alerts\":[";
-  bool first_alert = true;
-  for (const DriftAlert& a : w.alerts) {
-    if (!first_alert) out += ',';
-    first_alert = false;
-    out += "{\"input_class\":";
-    json_quote_into(out, a.input_class);
-    out += ",\"metric\":";
-    json_quote_into(out, std::string(perf::metric_name(a.metric)));
-    out += ",\"p99_pm\":" + std::to_string(a.p99_pm);
-    out += ",\"slope_mpm\":" + std::to_string(a.slope_mpm);
-    out += ",\"eta_windows\":" + std::to_string(a.eta_windows);
-    out += '}';
-  }
-  out += "]}";
-  return out;
+  support::JsonWriter j;
+  j.object([&] {
+    j.field("version", kDeltaSchemaVersion);
+    j.field("window", w.window);
+    j.field("window_start_ns", w.window * w.window_ns);
+    j.field("window_ns", w.window_ns);
+    j.field("packets", w.packets);
+    j.field("violations", w.violations);
+    j.array("classes", w.classes, [&](const DeltaClass& c) {
+      j.object([&] {
+        j.field("input_class", c.input_class);
+        j.field("packets", c.packets);
+        j.object("metrics", [&] {
+          for (const perf::Metric m : perf::kAllMetrics) {
+            const DeltaMetric& dm = c.metrics[perf::metric_index(m)];
+            j.object(perf::metric_name(m), [&] {
+              j.field("violations", dm.violations);
+              j.key("headroom_pm");
+              perf::summary_to_json(j, perf::summarize(dm.headroom_pm));
+            });
+          }
+        });
+      });
+    });
+    j.array("alerts", w.alerts, [&](const DriftAlert& a) {
+      j.object([&] {
+        j.field("input_class", a.input_class);
+        j.field("metric", perf::metric_name(a.metric));
+        j.field("p99_pm", a.p99_pm);
+        j.field("slope_mpm", a.slope_mpm);
+        j.field("eta_windows", a.eta_windows);
+      });
+    });
+  });
+  return j.take();
 }
 
 }  // namespace bolt::obs

@@ -11,7 +11,6 @@
 #include "support/assert.h"
 #include "support/io.h"
 #include "support/json.h"
-#include "support/strings.h"
 
 namespace bolt::obs {
 
@@ -21,234 +20,130 @@ using monitor::ClassAccum;
 using monitor::MetricAccum;
 using monitor::Offender;
 using monitor::RunTotals;
+using perf::QuantileSketch;
 using support::JsonReader;
-using support::json_quote_into;
 
-/// Reads past the `,"key":` that opens the next member of an object.
-void next_key(JsonReader& r, const char* key) {
-  r.expect(',');
-  r.key(key);
+/// The wire-only head of a partial (the rest lives in the partial).
+struct Header {
+  std::int64_t fleet_schema = kFleetSchemaVersion;
+  std::string kind;
+};
+
+// The layouts below are the one declaration of each partial's key order
+// (docs/OBSERVABILITY.md "Fleet partial schema"); window_partial_to_json
+// and decode_window_partial, and their final-partial twins, both run them.
+
+template <class J, class H, class P>
+void header_fields(J& j, H& h, P& p) {
+  j.field("fleet_schema", h.fleet_schema);
+  j.field("kind", h.kind);
+  j.field("nf", p.nf);
+  j.field("instance", p.instance);
+  j.field("instances", p.instances);
 }
 
-std::uint64_t next_u64(JsonReader& r, const char* key) {
-  next_key(r, key);
-  return static_cast<std::uint64_t>(r.integer());
+template <class J, class M> void metric_layout(J& j, M& m) {
+  j.object([&] {
+    j.field("violations", m.violations);
+    j.field("has_worst", m.has_worst);
+    j.field("worst_packet", m.worst_packet);
+    j.field("worst_predicted", m.worst_predicted);
+    j.field("worst_measured", m.worst_measured);
+    j.field("histogram", m.histogram);
+    j.key("headroom");
+    QuantileSketch::layout(j, m.headroom_pm);
+  });
 }
 
-bool next_bool(JsonReader& r, const char* key) {
-  next_key(r, key);
-  return r.boolean();
+template <class J, class N, class A>
+void class_layout(J& j, N& name, A& acc) {
+  j.object([&] {
+    j.field("input_class", name);
+    j.field("packets", acc.packets);
+    j.array("metrics", acc.metrics, [&](auto& m) { metric_layout(j, m); });
+    j.key("violation_margin");
+    QuantileSketch::layout(j, acc.violation_margin_pm);
+    j.array("offenders", acc.offenders, [&](auto& o) {
+      j.tuple(o.packet_index, o.metric, o.predicted, o.measured);
+    });
+  });
 }
 
-void sketch_to_json(std::string& out, const perf::QuantileSketch& s) {
-  out += "{\"count\":" + std::to_string(s.count());
-  out += ",\"min\":" + std::to_string(s.min());
-  out += ",\"max\":" + std::to_string(s.max());
-  out += ",\"buckets\":[";
-  bool first = true;
-  for (const auto& [bucket, count] : s.buckets()) {
-    if (!first) out += ',';
-    first = false;
-    out += '[' + std::to_string(bucket) + ',' + std::to_string(count) + ']';
+template <class J, class H, class P>
+void window_layout(J& j, H& h, P& p) {
+  j.object([&] {
+    header_fields(j, h, p);
+    j.field("window", p.window);
+    j.field("window_ns", p.window_ns);
+    j.object("stats", [&] {
+      j.field("packets", p.packets);
+      j.field("unattributed", p.unattributed);
+      j.field("first_unattributed", p.first_unattributed);
+      j.field("any_unattributed", p.any_unattributed);
+      j.field("epoch_sweeps", p.epoch_sweeps);
+      j.field("expired_idle", p.expired_idle);
+      j.field("high_water", p.high_water);
+      j.field("late_packets", p.late_packets);
+    });
+    j.array("classes", p.classes, p.accums,
+            [&](auto& name, auto& acc) { class_layout(j, name, acc); });
+  });
+}
+
+template <class J, class H, class P>
+void final_layout(J& j, H& h, P& p) {
+  j.object([&] {
+    header_fields(j, h, p);
+    j.field("stream_packets", p.stream_packets);
+    j.field("partitions", p.partitions);
+    j.field("cycles_checked", p.cycles_checked);
+    j.field("epoch_ns", p.epoch_ns);
+    j.field("max_offenders", p.max_offenders);
+    j.field("entries", p.entries);
+    j.field("residents", p.residents);
+    j.field("state_tracked", p.state_tracked);
+    j.key("telemetry");
+    j.nullable(p.has_telemetry, [&] {
+      j.object([&] {
+        telemetry_fields(j, p.telemetry, [&] {
+          QuantileSketch::layout(j, p.telemetry.batch_fill);
+        });
+      });
+    });
+  });
+}
+
+/// Why a read-back class accumulator is inconsistent, or "".
+std::string accum_error(const ClassAccum& acc) {
+  for (const MetricAccum& m : acc.metrics) {
+    if (const char* why = m.headroom_pm.invariant_error()) return why;
   }
-  out += "]}";
-}
-
-perf::QuantileSketch parse_sketch(JsonReader& r) {
-  r.expect('{');
-  r.key("count");
-  const std::uint64_t count = static_cast<std::uint64_t>(r.integer());
-  const std::uint64_t min = next_u64(r, "min");
-  const std::uint64_t max = next_u64(r, "max");
-  next_key(r, "buckets");
-  r.expect('[');
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> buckets;
-  if (!r.try_consume(']')) {
-    do {
-      r.expect('[');
-      const std::int64_t bucket = r.integer();
-      r.expect(',');
-      const std::int64_t bcount = r.integer();
-      r.expect(']');
-      if (bucket < 0) r.fail("negative sketch bucket");
-      buckets.emplace_back(static_cast<std::uint32_t>(bucket),
-                           static_cast<std::uint64_t>(bcount));
-    } while (r.try_consume(','));
-    r.expect(']');
-  }
-  r.expect('}');
-  // restore() re-validates the full invariant set (sorted buckets, count
-  // sum, min/max placement) and aborts on corruption.
-  return perf::QuantileSketch::restore(std::move(buckets), count, min, max);
-}
-
-void metric_accum_to_json(std::string& out, const MetricAccum& m) {
-  out += "{\"violations\":" + std::to_string(m.violations);
-  out += ",\"has_worst\":" + std::string(m.has_worst ? "true" : "false");
-  out += ",\"worst_packet\":" + std::to_string(m.worst_packet);
-  out += ",\"worst_predicted\":" + std::to_string(m.worst_predicted);
-  out += ",\"worst_measured\":" + std::to_string(m.worst_measured);
-  out += ",\"histogram\":[";
-  for (std::size_t b = 0; b < m.histogram.size(); ++b) {
-    if (b > 0) out += ',';
-    out += std::to_string(m.histogram[b]);
-  }
-  out += "],\"headroom\":";
-  sketch_to_json(out, m.headroom_pm);
-  out += '}';
-}
-
-MetricAccum parse_metric_accum(JsonReader& r) {
-  MetricAccum m;
-  r.expect('{');
-  r.key("violations");
-  m.violations = static_cast<std::uint64_t>(r.integer());
-  m.has_worst = next_bool(r, "has_worst");
-  m.worst_packet = next_u64(r, "worst_packet");
-  next_key(r, "worst_predicted");
-  m.worst_predicted = r.integer();
-  m.worst_measured = next_u64(r, "worst_measured");
-  next_key(r, "histogram");
-  r.expect('[');
-  for (std::size_t b = 0; b < m.histogram.size(); ++b) {
-    if (b > 0) r.expect(',');
-    m.histogram[b] = static_cast<std::uint64_t>(r.integer());
-  }
-  r.expect(']');
-  next_key(r, "headroom");
-  m.headroom_pm = parse_sketch(r);
-  r.expect('}');
-  return m;
-}
-
-void class_accum_to_json(std::string& out, const std::string& name,
-                         const ClassAccum& acc) {
-  out += "{\"input_class\":";
-  json_quote_into(out, name);
-  out += ",\"packets\":" + std::to_string(acc.packets);
-  out += ",\"metrics\":[";
-  for (std::size_t m = 0; m < acc.metrics.size(); ++m) {
-    if (m > 0) out += ',';
-    metric_accum_to_json(out, acc.metrics[m]);
-  }
-  out += "],\"violation_margin\":";
-  sketch_to_json(out, acc.violation_margin_pm);
-  out += ",\"offenders\":[";
-  bool first = true;
+  if (const char* why = acc.violation_margin_pm.invariant_error()) return why;
   for (const Offender& o : acc.offenders) {
-    if (!first) out += ',';
-    first = false;
-    out += '[' + std::to_string(o.packet_index) + ',' +
-           std::to_string(perf::metric_index(o.metric)) + ',' +
-           std::to_string(o.predicted) + ',' + std::to_string(o.measured) +
-           ']';
+    const int mi = perf::metric_index(o.metric);
+    if (mi < 0 || mi >= 3) return "offender metric index out of range";
   }
-  out += "]}";
+  return "";
 }
 
-ClassAccum parse_class_accum(JsonReader& r, std::string* name) {
-  ClassAccum acc;
-  r.expect('{');
-  r.key("input_class");
-  *name = r.string();
-  acc.packets = next_u64(r, "packets");
-  next_key(r, "metrics");
-  r.expect('[');
-  for (std::size_t m = 0; m < acc.metrics.size(); ++m) {
-    if (m > 0) r.expect(',');
-    acc.metrics[m] = parse_metric_accum(r);
+/// The decode verdict. A header of another schema or kind is reported
+/// first: it explains any structural failure after it.
+bool verdict(const JsonReader& r, const Header& h, const char* kind,
+             const std::string& why, std::string* error) {
+  if (h.fleet_schema != kFleetSchemaVersion) {
+    *error = r.invalid("unsupported fleet partial schema v" +
+                       std::to_string(h.fleet_schema));
+  } else if (h.kind != kind) {
+    *error = r.invalid("expected kind '" + std::string(kind) + "', got '" +
+                       h.kind + "'");
+  } else if (!r.ok()) {
+    *error = r.error();
+  } else if (!why.empty()) {
+    *error = r.invalid(why);
+  } else {
+    return true;
   }
-  r.expect(']');
-  next_key(r, "violation_margin");
-  acc.violation_margin_pm = parse_sketch(r);
-  next_key(r, "offenders");
-  r.expect('[');
-  if (!r.try_consume(']')) {
-    do {
-      Offender o;
-      r.expect('[');
-      o.packet_index = static_cast<std::uint64_t>(r.integer());
-      r.expect(',');
-      const std::int64_t mi = r.integer();
-      if (mi < 0 || mi >= 3) r.fail("offender metric index out of range");
-      o.metric = perf::kAllMetrics[static_cast<std::size_t>(mi)];
-      r.expect(',');
-      o.predicted = r.integer();
-      r.expect(',');
-      o.measured = static_cast<std::uint64_t>(r.integer());
-      r.expect(']');
-      acc.offenders.push_back(o);
-    } while (r.try_consume(','));
-    r.expect(']');
-  }
-  r.expect('}');
-  return acc;
-}
-
-void telemetry_fields_to_json(std::string& out, const MonitorTelemetry& t) {
-  out += "{\"packets_executed\":" + std::to_string(t.packets_executed);
-  out += ",\"attr_memo_hits\":" + std::to_string(t.attr_memo_hits);
-  out += ",\"batches_emitted\":" + std::to_string(t.batches_emitted);
-  out += ",\"batch_rows\":" + std::to_string(t.batch_rows);
-  out += ",\"batch_fill\":";
-  sketch_to_json(out, t.batch_fill);
-  out += ",\"vm_batch_evals\":" + std::to_string(t.vm_batch_evals);
-  out += ",\"rows_validated\":" + std::to_string(t.rows_validated);
-  out += ",\"epoch_sweeps\":" + std::to_string(t.epoch_sweeps);
-  out += ",\"state_high_water\":" + std::to_string(t.state_high_water);
-  out += ",\"delta_windows\":" + std::to_string(t.delta_windows);
-  out += ",\"drift_alerts\":" + std::to_string(t.drift_alerts);
-  out += '}';
-}
-
-MonitorTelemetry parse_telemetry_fields(JsonReader& r) {
-  MonitorTelemetry t;
-  r.expect('{');
-  r.key("packets_executed");
-  t.packets_executed = static_cast<std::uint64_t>(r.integer());
-  t.attr_memo_hits = next_u64(r, "attr_memo_hits");
-  t.batches_emitted = next_u64(r, "batches_emitted");
-  t.batch_rows = next_u64(r, "batch_rows");
-  next_key(r, "batch_fill");
-  t.batch_fill = parse_sketch(r);
-  t.vm_batch_evals = next_u64(r, "vm_batch_evals");
-  t.rows_validated = next_u64(r, "rows_validated");
-  t.epoch_sweeps = next_u64(r, "epoch_sweeps");
-  t.state_high_water = next_u64(r, "state_high_water");
-  t.delta_windows = next_u64(r, "delta_windows");
-  t.drift_alerts = next_u64(r, "drift_alerts");
-  r.expect('}');
-  return t;
-}
-
-void header_to_json(std::string& out, const char* kind, const std::string& nf,
-                    std::uint32_t instance, std::uint32_t instances) {
-  out += "{\"fleet_schema\":" + std::to_string(kFleetSchemaVersion);
-  out += ",\"kind\":\"";
-  out += kind;
-  out += "\",\"nf\":";
-  json_quote_into(out, nf);
-  out += ",\"instance\":" + std::to_string(instance);
-  out += ",\"instances\":" + std::to_string(instances);
-}
-
-void parse_header(JsonReader& r, const char* kind, std::string* nf,
-                  std::uint32_t* instance, std::uint32_t* instances) {
-  r.expect('{');
-  r.key("fleet_schema");
-  const std::int64_t schema = r.integer();
-  if (schema != kFleetSchemaVersion) {
-    r.fail("unsupported fleet partial schema v" + std::to_string(schema));
-  }
-  next_key(r, "kind");
-  const std::string k = r.string();
-  if (k != kind) {
-    r.fail("expected kind '" + std::string(kind) + "', got '" + k + "'");
-  }
-  next_key(r, "nf");
-  *nf = r.string();
-  *instance = static_cast<std::uint32_t>(next_u64(r, "instance"));
-  *instances = static_cast<std::uint32_t>(next_u64(r, "instances"));
+  return false;
 }
 
 }  // namespace
@@ -300,121 +195,58 @@ FinalPartial final_partial(const monitor::StreamMonitor& sm,
 }
 
 std::string window_partial_to_json(const WindowPartial& p) {
-  std::string out;
-  header_to_json(out, "window", p.nf, p.instance, p.instances);
-  out += ",\"window\":" + std::to_string(p.window);
-  out += ",\"window_ns\":" + std::to_string(p.window_ns);
-  out += ",\"stats\":{\"packets\":" + std::to_string(p.packets);
-  out += ",\"unattributed\":" + std::to_string(p.unattributed);
-  out += ",\"first_unattributed\":" + std::to_string(p.first_unattributed);
-  out += ",\"any_unattributed\":" +
-         std::string(p.any_unattributed ? "true" : "false");
-  out += ",\"epoch_sweeps\":" + std::to_string(p.epoch_sweeps);
-  out += ",\"expired_idle\":" + std::to_string(p.expired_idle);
-  out += ",\"high_water\":" + std::to_string(p.high_water);
-  out += ",\"late_packets\":" + std::to_string(p.late_packets);
-  out += "},\"classes\":[";
-  for (std::size_t e = 0; e < p.classes.size(); ++e) {
-    if (e > 0) out += ',';
-    class_accum_to_json(out, p.classes[e], p.accums[e]);
-  }
-  out += "]}";
-  return out;
-}
-
-WindowPartial parse_window_partial(const std::string& text) {
-  JsonReader r(text, "fleet window partial");
-  WindowPartial p;
-  parse_header(r, "window", &p.nf, &p.instance, &p.instances);
-  p.window = next_u64(r, "window");
-  p.window_ns = next_u64(r, "window_ns");
-  next_key(r, "stats");
-  r.expect('{');
-  r.key("packets");
-  p.packets = static_cast<std::uint64_t>(r.integer());
-  p.unattributed = next_u64(r, "unattributed");
-  p.first_unattributed = next_u64(r, "first_unattributed");
-  p.any_unattributed = next_bool(r, "any_unattributed");
-  p.epoch_sweeps = next_u64(r, "epoch_sweeps");
-  p.expired_idle = next_u64(r, "expired_idle");
-  p.high_water = next_u64(r, "high_water");
-  p.late_packets = next_u64(r, "late_packets");
-  r.expect('}');
-  next_key(r, "classes");
-  r.expect('[');
-  if (!r.try_consume(']')) {
-    do {
-      std::string name;
-      ClassAccum acc = parse_class_accum(r, &name);
-      p.classes.push_back(std::move(name));
-      p.accums.push_back(std::move(acc));
-    } while (r.try_consume(','));
-    r.expect(']');
-  }
-  r.expect('}');
-  r.end();
-  return p;
+  const Header h{kFleetSchemaVersion, "window"};
+  support::JsonWriter w;
+  window_layout(w, h, p);
+  return w.take();
 }
 
 std::string final_partial_to_json(const FinalPartial& p) {
-  std::string out;
-  header_to_json(out, "final", p.nf, p.instance, p.instances);
-  out += ",\"stream_packets\":" + std::to_string(p.stream_packets);
-  out += ",\"partitions\":" + std::to_string(p.partitions);
-  out += ",\"cycles_checked\":" +
-         std::string(p.cycles_checked ? "true" : "false");
-  out += ",\"epoch_ns\":" + std::to_string(p.epoch_ns);
-  out += ",\"max_offenders\":" + std::to_string(p.max_offenders);
-  out += ",\"entries\":[";
-  for (std::size_t e = 0; e < p.entries.size(); ++e) {
-    if (e > 0) out += ',';
-    json_quote_into(out, p.entries[e]);
+  const Header h{kFleetSchemaVersion, "final"};
+  support::JsonWriter w;
+  final_layout(w, h, p);
+  return w.take();
+}
+
+bool decode_window_partial(const std::string& text, WindowPartial* out,
+                           std::string* error) {
+  // Defaults that only a read value can contradict.
+  Header h{kFleetSchemaVersion, "window"};
+  JsonReader r(text, "fleet window partial");
+  window_layout(r, h, *out);
+  r.end();
+  std::string why;
+  for (std::size_t c = 0; c < out->accums.size() && why.empty(); ++c) {
+    why = accum_error(out->accums[c]);
   }
-  out += "],\"residents\":" + std::to_string(p.residents);
-  out += ",\"state_tracked\":" +
-         std::string(p.state_tracked ? "true" : "false");
-  out += ",\"telemetry\":";
-  if (p.has_telemetry) {
-    telemetry_fields_to_json(out, p.telemetry);
-  } else {
-    out += "null";
+  return verdict(r, h, "window", why, error);
+}
+
+bool decode_final_partial(const std::string& text, FinalPartial* out,
+                          std::string* error) {
+  Header h{kFleetSchemaVersion, "final"};
+  JsonReader r(text, "fleet final partial");
+  final_layout(r, h, *out);
+  r.end();
+  const char* why = out->telemetry.batch_fill.invariant_error();
+  return verdict(r, h, "final", why != nullptr ? why : "", error);
+}
+
+WindowPartial parse_window_partial(const std::string& text) {
+  WindowPartial p;
+  std::string error;
+  if (!decode_window_partial(text, &p, &error)) {
+    support::fatal(error, __FILE__, __LINE__);
   }
-  out += '}';
-  return out;
+  return p;
 }
 
 FinalPartial parse_final_partial(const std::string& text) {
-  JsonReader r(text, "fleet final partial");
   FinalPartial p;
-  parse_header(r, "final", &p.nf, &p.instance, &p.instances);
-  p.stream_packets = next_u64(r, "stream_packets");
-  p.partitions = next_u64(r, "partitions");
-  p.cycles_checked = next_bool(r, "cycles_checked");
-  p.epoch_ns = next_u64(r, "epoch_ns");
-  p.max_offenders = next_u64(r, "max_offenders");
-  next_key(r, "entries");
-  r.expect('[');
-  if (!r.try_consume(']')) {
-    do {
-      p.entries.push_back(r.string());
-    } while (r.try_consume(','));
-    r.expect(']');
+  std::string error;
+  if (!decode_final_partial(text, &p, &error)) {
+    support::fatal(error, __FILE__, __LINE__);
   }
-  p.residents = next_u64(r, "residents");
-  p.state_tracked = next_bool(r, "state_tracked");
-  next_key(r, "telemetry");
-  if (r.try_consume('n')) {
-    // "null" — the reader has consumed 'n'; eat the rest by hand.
-    r.expect('u');
-    r.expect('l');
-    r.expect('l');
-    p.has_telemetry = false;
-  } else {
-    p.telemetry = parse_telemetry_fields(r);
-    p.has_telemetry = true;
-  }
-  r.expect('}');
-  r.end();
   return p;
 }
 
@@ -429,11 +261,11 @@ std::string spool_final_path(const std::string& dir, const std::string& nf,
   return dir + "/" + nf + ".i" + std::to_string(instance) + ".final.json";
 }
 
-void read_spool(const std::string& dir, const std::string& nf,
+bool read_spool(const std::string& dir, const std::string& nf,
                 std::vector<WindowPartial>* windows,
-                std::vector<FinalPartial>* finals) {
+                std::vector<FinalPartial>* finals, std::string* error) {
   DIR* d = opendir(dir.c_str());
-  if (d == nullptr) return;  // no spool yet — nothing to merge
+  if (d == nullptr) return true;  // no spool yet — nothing to merge
   const std::string prefix = nf + ".i";
   std::vector<std::string> names;
   while (const dirent* entry = readdir(d)) {
@@ -448,15 +280,24 @@ void read_spool(const std::string& dir, const std::string& nf,
   // filesystem enumerates.
   std::sort(names.begin(), names.end());
   for (const std::string& name : names) {
-    const std::string text =
-        support::read_file_or_die(dir + "/" + name, "fleet partial");
-    if (name.size() > 11 &&
-        name.compare(name.size() - 11, 11, ".final.json") == 0) {
-      finals->push_back(parse_final_partial(text));
+    const std::string path = dir + "/" + name;
+    std::string text;
+    std::string why;
+    bool ok = support::read_file(path, &text);
+    if (!ok) {
+      why = "cannot read fleet partial";
+    } else if (name.size() > 11 &&
+               name.compare(name.size() - 11, 11, ".final.json") == 0) {
+      ok = decode_final_partial(text, &finals->emplace_back(), &why);
     } else {
-      windows->push_back(parse_window_partial(text));
+      ok = decode_window_partial(text, &windows->emplace_back(), &why);
+    }
+    if (!ok) {
+      *error = path + ": " + why;
+      return false;
     }
   }
+  return true;
 }
 
 FleetMergeResult merge_partials(const std::vector<WindowPartial>& windows,

@@ -24,9 +24,9 @@
 //
 // The partial format is schema-versioned JSON (one object per file;
 // docs/OBSERVABILITY.md "Fleet partial schema"). Quantile sketches travel
-// as their raw sparse bucket state — perf::QuantileSketch::restore()
-// validates on the way back in, so a corrupted partial fails loudly
-// instead of merging quietly wrong.
+// as their raw sparse bucket state, and a read-back sketch must pass
+// perf::QuantileSketch::invariant_error(), so a corrupted partial is
+// rejected instead of merging quietly wrong.
 #pragma once
 
 #include <cstdint>
@@ -102,11 +102,21 @@ FinalPartial final_partial(const monitor::StreamMonitor& sm,
                            const monitor::StreamResult& result);
 
 /// Canonical JSON (one object, fixed key order — the byte layout is part
-/// of the schema, like every other artifact in this repo).
+/// of the schema, like every other artifact in this repo). The layouts in
+/// fleet.cpp declare that order once for writer and reader.
 std::string window_partial_to_json(const WindowPartial& p);
 std::string final_partial_to_json(const FinalPartial& p);
 
-/// Strict parsers (support::JsonReader; abort with offset on mismatch).
+/// Strict decoders: false with `*error` ("fleet window partial: <why>[ at
+/// byte N]") on malformed JSON, another schema version or kind, or an
+/// inconsistent sketch or offender; `*out` is then unspecified.
+bool decode_window_partial(const std::string& text, WindowPartial* out,
+                           std::string* error);
+bool decode_final_partial(const std::string& text, FinalPartial* out,
+                          std::string* error);
+
+/// The decoders for callers that trust their partials: abort with the
+/// decoder's message.
 WindowPartial parse_window_partial(const std::string& text);
 FinalPartial parse_final_partial(const std::string& text);
 
@@ -120,12 +130,13 @@ std::string spool_final_path(const std::string& dir, const std::string& nf,
                              std::uint32_t instance);
 
 /// Reads every partial for `nf` under `dir` (by the naming scheme above,
-/// scanned in sorted filename order so the result is deterministic).
-/// Aborts on an unparsable file; missing directory or no matching files
-/// yields empty vectors.
-void read_spool(const std::string& dir, const std::string& nf,
+/// scanned in sorted filename order so the result is deterministic). A
+/// missing directory or no matching files yields empty vectors. Returns
+/// false with `*error` ("<file>: <decoder message>") at the first file
+/// that cannot be read or decoded.
+bool read_spool(const std::string& dir, const std::string& nf,
                 std::vector<WindowPartial>* windows,
-                std::vector<FinalPartial>* finals);
+                std::vector<FinalPartial>* finals, std::string* error);
 
 struct FleetMergeResult {
   monitor::MonitorReport report;

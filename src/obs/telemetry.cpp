@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "support/strings.h"
+#include "support/json.h"
 
 namespace bolt::obs {
 
@@ -22,56 +22,29 @@ void MonitorTelemetry::merge(const MonitorTelemetry& other) {
 
 std::string telemetry_to_json(const MonitorTelemetry& t,
                               const std::string& nf) {
-  std::string out = "{\"nf\":";
-  support::json_quote_into(out, nf);
-  const auto field = [&out](const char* name, std::uint64_t value) {
-    out += ",\"";
-    out += name;
-    out += "\":" + std::to_string(value);
-  };
-  field("packets_executed", t.packets_executed);
-  field("attr_memo_hits", t.attr_memo_hits);
-  field("batches_emitted", t.batches_emitted);
-  field("batch_rows", t.batch_rows);
-  out += ",\"batch_fill\":";
-  perf::summary_to_json(out, perf::summarize(t.batch_fill));
-  field("vm_batch_evals", t.vm_batch_evals);
-  field("rows_validated", t.rows_validated);
-  field("epoch_sweeps", t.epoch_sweeps);
-  field("state_high_water", t.state_high_water);
-  field("delta_windows", t.delta_windows);
-  field("drift_alerts", t.drift_alerts);
-  out += '}';
-  return out;
+  support::JsonWriter w;
+  w.object([&] {
+    w.field("nf", nf);
+    telemetry_fields(w, t, [&] {
+      perf::summary_to_json(w, perf::summarize(t.batch_fill));
+    });
+  });
+  return w.take();
 }
 
 std::string telemetry_to_prometheus(const MonitorTelemetry& t,
                                     const std::string& nf) {
   std::string out;
   const std::string label = "{nf=\"" + nf + "\"}";
-  const auto counter = [&out, &label](const char* name, const char* help,
-                                      std::uint64_t value) {
-    out += "# HELP ";
-    out += name;
-    out += ' ';
-    out += help;
-    out += "\n# TYPE ";
-    out += name;
-    out += " counter\n";
-    out += name;
-    out += label + ' ' + std::to_string(value) + '\n';
+  const auto metric = [&out, &label](const char* type, const char* name,
+                                     const char* help, std::uint64_t value) {
+    out += std::string("# HELP ") + name + ' ' + help + "\n# TYPE " + name +
+           ' ' + type + '\n' + name + label + ' ' + std::to_string(value) +
+           '\n';
   };
-  const auto gauge = [&out, &label](const char* name, const char* help,
-                                    std::uint64_t value) {
-    out += "# HELP ";
-    out += name;
-    out += ' ';
-    out += help;
-    out += "\n# TYPE ";
-    out += name;
-    out += " gauge\n";
-    out += name;
-    out += label + ' ' + std::to_string(value) + '\n';
+  const auto counter = [&metric](const char* name, const char* help,
+                                 std::uint64_t value) {
+    metric("counter", name, help, value);
   };
   counter("bolt_monitor_packets_total", "Packets executed through the NF.",
           t.packets_executed);
@@ -85,8 +58,8 @@ std::string telemetry_to_prometheus(const MonitorTelemetry& t,
           "Rows checked against contract bounds.", t.rows_validated);
   counter("bolt_monitor_epoch_sweeps_total",
           "Epoch-clock state-expiry sweeps.", t.epoch_sweeps);
-  gauge("bolt_monitor_state_high_water",
-        "Maximum tracked flow-state entries.", t.state_high_water);
+  metric("gauge", "bolt_monitor_state_high_water",
+         "Maximum tracked flow-state entries.", t.state_high_water);
   counter("bolt_monitor_delta_windows_total",
           "Delta report windows emitted.", t.delta_windows);
   counter("bolt_monitor_drift_alerts_total",

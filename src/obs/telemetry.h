@@ -45,6 +45,25 @@ struct MonitorTelemetry {
   void merge(const MonitorTelemetry& other);
 };
 
+/// The counters in their one key order, shared by the JSON exposition and
+/// the fleet final partial (obs/fleet.cpp); `batch_fill()` lays out the
+/// fill sketch — a summary in the exposition, raw state in a partial.
+template <class J, class T, class F>
+void telemetry_fields(J& j, T& t, F&& batch_fill) {
+  j.field("packets_executed", t.packets_executed);
+  j.field("attr_memo_hits", t.attr_memo_hits);
+  j.field("batches_emitted", t.batches_emitted);
+  j.field("batch_rows", t.batch_rows);
+  j.key("batch_fill");
+  batch_fill();
+  j.field("vm_batch_evals", t.vm_batch_evals);
+  j.field("rows_validated", t.rows_validated);
+  j.field("epoch_sweeps", t.epoch_sweeps);
+  j.field("state_high_water", t.state_high_water);
+  j.field("delta_windows", t.delta_windows);
+  j.field("drift_alerts", t.drift_alerts);
+}
+
 /// JSON exposition (one object; schema in docs/OBSERVABILITY.md).
 std::string telemetry_to_json(const MonitorTelemetry& t, const std::string& nf);
 

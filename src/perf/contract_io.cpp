@@ -1,168 +1,145 @@
 #include "perf/contract_io.h"
 
-#include <cstdio>
 #include <set>
 
 #include "support/assert.h"
 #include "support/io.h"
 #include "support/json.h"
-#include "support/strings.h"
 
 namespace bolt::perf {
 namespace {
 
-using support::json_quote_into;
-using support::JsonReader;
+/// The artifact as it sits on disk: PCVs by name, expressions as term
+/// lists. contract_layout() is the one declaration of its key order.
+struct TermDoc {
+  std::int64_t coeff = 0;
+  std::vector<std::string> pcvs;  ///< one name per unit of exponent
+};
+struct EntryDoc {
+  std::string input_class;
+  std::uint64_t paths_coalesced = 0;
+  std::array<std::vector<TermDoc>, 3> metrics;  ///< by metric_index
+};
+struct PcvDoc {
+  std::string name;
+  std::string description;
+};
+struct ContractDoc {
+  std::int64_t version = kContractSchemaVersion;
+  std::string nf;
+  std::vector<PcvDoc> pcvs;
+  std::vector<EntryDoc> entries;
+};
 
-void expr_to_json(std::string& out, const PerfExpr& expr,
-                  const PcvRegistry& reg) {
-  out += '[';
-  bool first_term = true;
-  for (const auto& [monomial, coeff] : expr.terms()) {
-    if (!first_term) out += ',';
-    first_term = false;
-    out += "{\"coeff\":" + std::to_string(coeff) + ",\"pcvs\":[";
-    bool first_pcv = true;
-    for (const auto& [id, exponent] : monomial.factors()) {
-      for (int i = 0; i < exponent; ++i) {
-        if (!first_pcv) out += ',';
-        first_pcv = false;
-        json_quote_into(out, reg.name(id));
-      }
-    }
-    out += "]}";
-  }
-  out += ']';
-}
-
-PerfExpr expr_from_json(JsonReader& r, PcvRegistry& reg) {
-  PerfExpr expr;
-  r.expect('[');
-  if (r.try_consume(']')) return expr;
-  do {
-    r.expect('{');
-    r.key("coeff");
-    const std::int64_t coeff = r.integer();
-    r.expect(',');
-    r.key("pcvs");
-    Monomial monomial;
-    r.expect('[');
-    if (!r.try_consume(']')) {
-      do {
-        monomial = monomial * Monomial::pcv(reg.intern(r.string()));
-      } while (r.try_consume(','));
-      r.expect(']');
-    }
-    r.expect('}');
-    expr += PerfExpr::term(coeff, monomial);
-  } while (r.try_consume(','));
-  r.expect(']');
-  return expr;
+template <class J, class D> void contract_layout(J& j, D& d) {
+  j.object([&] {
+    j.field("version", d.version);
+    j.field("nf", d.nf);
+    j.array("pcvs", d.pcvs, [&](auto& p) {
+      j.object([&] {
+        j.field("name", p.name);
+        j.field("description", p.description);
+      });
+    });
+    j.array("entries", d.entries, [&](auto& e) {
+      j.object([&] {
+        j.field("input_class", e.input_class);
+        j.field("paths_coalesced", e.paths_coalesced);
+        j.object("metrics", [&] {
+          for (const Metric m : kAllMetrics) {
+            j.array(metric_name(m), e.metrics[metric_index(m)], [&](auto& t) {
+              j.object([&] {
+                j.field("coeff", t.coeff);
+                j.field("pcvs", t.pcvs);
+              });
+            });
+          }
+        });
+      });
+    });
+  });
 }
 
 }  // namespace
 
 std::string contract_to_json(const Contract& contract, const PcvRegistry& reg) {
-  std::string out =
-      "{\"version\":" + std::to_string(kContractSchemaVersion) + ",\"nf\":";
-  json_quote_into(out, contract.nf_name());
-  out += ",\"pcvs\":[";
-  bool first = true;
+  ContractDoc d;
+  d.nf = contract.nf_name();
   for (const PcvId id : reg.all()) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":";
-    json_quote_into(out, reg.name(id));
-    out += ",\"description\":";
-    json_quote_into(out, reg.description(id));
-    out += '}';
+    d.pcvs.push_back({reg.name(id), reg.description(id)});
   }
-  out += "],\"entries\":[";
-  first = true;
   for (const ContractEntry& entry : contract.entries()) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"input_class\":";
-    json_quote_into(out, entry.input_class);
-    out += ",\"paths_coalesced\":" + std::to_string(entry.paths_coalesced);
-    out += ",\"metrics\":{";
-    bool first_metric = true;
+    EntryDoc& e = d.entries.emplace_back();
+    e.input_class = entry.input_class;
+    e.paths_coalesced = entry.paths_coalesced;
     for (const Metric m : kAllMetrics) {
-      if (!first_metric) out += ',';
-      first_metric = false;
-      json_quote_into(out, std::string(metric_name(m)));
-      out += ':';
-      expr_to_json(out, entry.perf.get(m), reg);
+      for (const auto& [monomial, coeff] : entry.perf.get(m).terms()) {
+        TermDoc& t = e.metrics[metric_index(m)].emplace_back();
+        t.coeff = coeff;
+        for (const auto& [id, exponent] : monomial.factors()) {
+          t.pcvs.insert(t.pcvs.end(), exponent, reg.name(id));
+        }
+      }
     }
-    out += "}}";
   }
-  out += "]}";
-  return out;
+  support::JsonWriter w;
+  contract_layout(w, d);
+  return w.take();
 }
 
-Contract contract_from_json(const std::string& json, PcvRegistry& reg) {
-  JsonReader r(json, "contract json");
-  r.expect('{');
-  r.key("version");
-  BOLT_CHECK(r.integer() == kContractSchemaVersion,
-             "contract json: unsupported version");
-  r.expect(',');
-  r.key("nf");
-  Contract contract(r.string());
-  r.expect(',');
-  r.key("pcvs");
-  r.expect('[');
-  if (!r.try_consume(']')) {
-    do {
-      r.expect('{');
-      r.key("name");
-      const std::string name = r.string();
-      r.expect(',');
-      r.key("description");
-      const std::string description = r.string();
-      r.expect('}');
-      reg.intern(name, description);
-    } while (r.try_consume(','));
-    r.expect(']');
+bool decode_contract(const std::string& json, PcvRegistry& reg, Contract* out,
+                     std::string* error) {
+  ContractDoc d;
+  support::JsonReader r(json, "contract json");
+  contract_layout(r, d);
+  r.end();
+  // A different schema version explains any structural failure after it.
+  if (d.version != kContractSchemaVersion) {
+    *error = r.invalid("unsupported version " + std::to_string(d.version));
+    return false;
   }
-  r.expect(',');
-  r.key("entries");
-  r.expect('[');
+  if (!r.ok()) {
+    *error = r.error();
+    return false;
+  }
   // Input classes are the lookup key for everything downstream (monitor
   // attribution, gap reports); a duplicate means two conflicting bounds for
   // the same traffic and must never be half-loaded.
   std::set<std::string> seen_classes;
-  if (!r.try_consume(']')) {
-    do {
-      r.expect('{');
-      ContractEntry entry;
-      r.key("input_class");
-      entry.input_class = r.string();
-      if (!seen_classes.insert(entry.input_class).second) {
-        r.fail("duplicate input class '" + entry.input_class + "'");
-      }
-      r.expect(',');
-      r.key("paths_coalesced");
-      entry.paths_coalesced = static_cast<std::size_t>(r.integer());
-      r.expect(',');
-      r.key("metrics");
-      r.expect('{');
-      do {
-        const std::string metric = r.string();
-        r.expect(':');
-        const PerfExpr expr = expr_from_json(r, reg);
-        for (const Metric m : kAllMetrics) {
-          if (metric == metric_name(m)) entry.perf.set(m, expr);
-        }
-      } while (r.try_consume(','));
-      r.expect('}');
-      r.expect('}');
-      contract.add(std::move(entry));
-    } while (r.try_consume(','));
-    r.expect(']');
+  for (const EntryDoc& e : d.entries) {
+    if (!seen_classes.insert(e.input_class).second) {
+      *error = r.invalid("duplicate input class '" + e.input_class + "'");
+      return false;
+    }
   }
-  r.expect('}');
-  r.end();
+  *out = Contract(d.nf);
+  for (const PcvDoc& p : d.pcvs) reg.intern(p.name, p.description);
+  for (EntryDoc& e : d.entries) {
+    ContractEntry entry;
+    entry.input_class = std::move(e.input_class);
+    entry.paths_coalesced = static_cast<std::size_t>(e.paths_coalesced);
+    for (const Metric m : kAllMetrics) {
+      PerfExpr expr;
+      for (const TermDoc& t : e.metrics[metric_index(m)]) {
+        Monomial monomial;
+        for (const std::string& name : t.pcvs) {
+          monomial = monomial * Monomial::pcv(reg.intern(name));
+        }
+        expr += PerfExpr::term(t.coeff, monomial);
+      }
+      entry.perf.set(m, std::move(expr));
+    }
+    out->add(std::move(entry));
+  }
+  return true;
+}
+
+Contract contract_from_json(const std::string& json, PcvRegistry& reg) {
+  Contract contract;
+  std::string error;
+  if (!decode_contract(json, reg, &contract, &error)) {
+    support::fatal(error, __FILE__, __LINE__);
+  }
   return contract;
 }
 

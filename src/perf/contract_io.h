@@ -3,26 +3,12 @@
 // contracts *without* access to the NF implementation; this is the
 // artifact they would actually be handed).
 //
-// Schema (stable, versioned):
-// {
-//   "version": 1,
-//   "nf": "bridge",
-//   "pcvs": [{"name": "e", "description": "..."}, ...],
-//   "entries": [
-//     {
-//       "input_class": "...",
-//       "paths_coalesced": 3,
-//       "metrics": {
-//         "instructions": [{"coeff": 245, "pcvs": ["e"]},
-//                          {"coeff": 82, "pcvs": ["e", "c"]},
-//                          {"coeff": 882, "pcvs": []}],
-//         ...
-//       }
-//     }, ...
-//   ]
-// }
-//
-// The writer/parser are self-contained (no external JSON dependency).
+// The schema (stable, versioned) is one object: the schema version, the
+// NF name, the PCV glossary ({name, description} in registry order) and
+// one entry per input class with its coalesced path count and, per metric
+// in kAllMetrics order, the bound as a list of {coeff, pcvs} terms.
+// contract_layout() in contract_io.cpp is the single declaration of that
+// key order; the writer and the strict reader both run it.
 #pragma once
 
 #include <string>
@@ -40,8 +26,16 @@ inline constexpr std::int64_t kContractSchemaVersion = 1;
 /// Serialises a contract (and the PCVs it references) to JSON.
 std::string contract_to_json(const Contract& contract, const PcvRegistry& reg);
 
-/// Parses a contract back. PCVs are interned into `reg`. Aborts on
-/// malformed input (contracts are trusted build artifacts).
+/// Parses a contract back into `*out`, interning its PCVs into `reg`.
+/// Returns false with `*error` ("contract json: <why>[ at byte N]") on a
+/// malformed artifact — bad syntax, a missing, misspelled or duplicated
+/// key, a schema-version mismatch or a duplicate input class — and then
+/// leaves `reg` untouched.
+bool decode_contract(const std::string& json, PcvRegistry& reg, Contract* out,
+                     std::string* error);
+
+/// decode_contract() for library callers that treat a contract as a
+/// trusted build artifact: aborts with its message on malformed input.
 Contract contract_from_json(const std::string& json, PcvRegistry& reg);
 
 /// Writes the contract artifact to `path` (the operator's "store" step).

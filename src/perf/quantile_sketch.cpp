@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "support/assert.h"
+#include "support/json.h"
 
 namespace bolt::perf {
 
@@ -55,9 +56,9 @@ void QuantileSketch::add(std::uint64_t value) {
   } else {
     buckets_.insert(pos, {b, 1});
   }
-  ++count_;
-  min_ = std::min(min_, value);
+  min_ = count_ == 0 ? value : std::min(min_, value);
   max_ = std::max(max_, value);
+  ++count_;
 }
 
 void QuantileSketch::merge(const QuantileSketch& other) {
@@ -79,9 +80,9 @@ void QuantileSketch::merge(const QuantileSketch& other) {
     }
   }
   buckets_ = std::move(merged);
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
+  min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
+  count_ += other.count_;
 }
 
 std::uint64_t QuantileSketch::quantile(double q) const {
@@ -125,31 +126,25 @@ std::string QuantileSketch::serialize() const {
   return out;
 }
 
-QuantileSketch QuantileSketch::restore(
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> buckets,
-    std::uint64_t count, std::uint64_t min, std::uint64_t max) {
+const char* QuantileSketch::invariant_error() const {
   std::uint64_t total = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    BOLT_CHECK(buckets[i].second > 0, "sketch restore: zero bucket count");
-    BOLT_CHECK(i == 0 || buckets[i - 1].first < buckets[i].first,
-               "sketch restore: unsorted or duplicate buckets");
-    total += buckets[i].second;
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    if (buckets_[i].second == 0) return "sketch: zero bucket count";
+    if (i > 0 && buckets_[i - 1].first >= buckets_[i].first) {
+      return "sketch: unsorted or duplicate buckets";
+    }
+    total += buckets_[i].second;
   }
-  BOLT_CHECK(total == count, "sketch restore: bucket counts disagree with n");
-  QuantileSketch out;
-  if (count == 0) {
-    BOLT_CHECK(min == 0 && max == 0, "sketch restore: empty with bounds");
-    return out;
+  if (total != count_) return "sketch: bucket counts disagree with n";
+  if (count_ == 0) {
+    return min_ == 0 && max_ == 0 ? nullptr : "sketch: empty with bounds";
   }
-  BOLT_CHECK(min <= max, "sketch restore: min > max");
-  BOLT_CHECK(bucket_of(min) == buckets.front().first &&
-                 bucket_of(max) == buckets.back().first,
-             "sketch restore: min/max outside recorded buckets");
-  out.buckets_ = std::move(buckets);
-  out.count_ = count;
-  out.min_ = min;
-  out.max_ = max;
-  return out;
+  if (min_ > max_) return "sketch: min > max";
+  if (bucket_of(min_) != buckets_.front().first ||
+      bucket_of(max_) != buckets_.back().first) {
+    return "sketch: min/max outside recorded buckets";
+  }
+  return nullptr;
 }
 
 bool QuantileSketch::operator==(const QuantileSketch& other) const {
@@ -168,14 +163,15 @@ QuantileSummary summarize(const QuantileSketch& sketch) {
   return out;
 }
 
-void summary_to_json(std::string& out, const QuantileSummary& s) {
-  out += "{\"count\":" + std::to_string(s.count);
-  out += ",\"p50\":" + std::to_string(s.p50);
-  out += ",\"p90\":" + std::to_string(s.p90);
-  out += ",\"p99\":" + std::to_string(s.p99);
-  out += ",\"p999\":" + std::to_string(s.p999);
-  out += ",\"max\":" + std::to_string(s.max);
-  out += '}';
+void summary_to_json(support::JsonWriter& w, const QuantileSummary& s) {
+  w.object([&] {
+    w.field("count", s.count);
+    w.field("p50", s.p50);
+    w.field("p90", s.p90);
+    w.field("p99", s.p99);
+    w.field("p999", s.p999);
+    w.field("max", s.max);
+  });
 }
 
 }  // namespace bolt::perf

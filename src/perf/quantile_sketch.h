@@ -28,6 +28,10 @@
 #include <string>
 #include <vector>
 
+namespace bolt::support {
+class JsonWriter;
+}  // namespace bolt::support
+
 namespace bolt::perf {
 
 class QuantileSketch {
@@ -47,8 +51,8 @@ class QuantileSketch {
   std::uint64_t count() const { return count_; }
   bool empty() const { return count_ == 0; }
   /// Smallest / largest recorded value (0 when empty).
-  std::uint64_t min() const { return count_ ? min_ : 0; }
-  std::uint64_t max() const { return count_ ? max_ : 0; }
+  std::uint64_t min() const { return min_; }
+  std::uint64_t max() const { return max_; }
 
   /// Nearest-rank quantile estimate for q in [0, 1]: the upper edge of the
   /// bucket containing the ceil(q*count)-th smallest value, clamped to the
@@ -73,27 +77,29 @@ class QuantileSketch {
   static std::uint64_t bucket_lo(std::uint32_t bucket);
   static std::uint64_t bucket_hi(std::uint32_t bucket);
 
-  /// The raw sparse state, exposed for external serialisation (the fleet
-  /// partial format in obs/fleet.cpp). Sorted by bucket index; counts are
-  /// strictly positive.
-  const std::vector<std::pair<std::uint32_t, std::uint64_t>>& buckets() const {
-    return buckets_;
+  /// The wire layout of the raw state (the fleet partial format in
+  /// obs/fleet.cpp), for support/json.h's writer and reader alike. A sketch
+  /// read this way is unchecked until invariant_error() accepts it.
+  template <class J, class S> static void layout(J& j, S& s) {
+    j.object([&] {
+      j.field("count", s.count_);
+      j.field("min", s.min_);
+      j.field("max", s.max_);
+      j.field("buckets", s.buckets_);
+    });
   }
 
-  /// Rebuilds a sketch from externally serialised state (the inverse of
-  /// buckets()/count()/min()/max()). Aborts if the state is inconsistent:
-  /// unsorted or duplicate buckets, zero counts, a count mismatch, or
-  /// min/max outside the recorded buckets' range — a fleet partial that
-  /// fails this was corrupted in transit.
-  static QuantileSketch restore(
-      std::vector<std::pair<std::uint32_t, std::uint64_t>> buckets,
-      std::uint64_t count, std::uint64_t min, std::uint64_t max);
+  /// nullptr when the state is consistent, else why not: unsorted or
+  /// duplicate buckets, zero counts, a count mismatch, or min/max outside
+  /// the recorded buckets — a read-back sketch that fails this was
+  /// corrupted in transit.
+  const char* invariant_error() const;
 
  private:
   /// Sorted by bucket index; counts are strictly positive.
   std::vector<std::pair<std::uint32_t, std::uint64_t>> buckets_;
   std::uint64_t count_ = 0;
-  std::uint64_t min_ = ~0ull;
+  std::uint64_t min_ = 0;  ///< 0 while empty, like max_
   std::uint64_t max_ = 0;
 };
 
@@ -114,8 +120,9 @@ struct QuantileSummary {
 /// Extracts the canonical summary quantiles from a merged sketch.
 QuantileSummary summarize(const QuantileSketch& sketch);
 
-/// Appends the summary as a JSON object ({"count":..,"p50":..,...}) — the
-/// shape both the monitor report and the delta stream embed.
-void summary_to_json(std::string& out, const QuantileSummary& s);
+/// Writes the summary as a JSON object ({"count":..,"p50":..,...}) — the
+/// shape the monitor report, the delta stream and the telemetry
+/// exposition embed.
+void summary_to_json(support::JsonWriter& w, const QuantileSummary& s);
 
 }  // namespace bolt::perf

@@ -5,7 +5,7 @@
 #include <cstdlib>
 #include <thread>
 
-#include "support/strings.h"
+#include "support/json.h"
 
 namespace bolt::support {
 
@@ -19,13 +19,6 @@ std::uint64_t now_ns() {
 }
 
 const char* json_dir() { return std::getenv("BOLT_BENCH_JSON"); }
-
-/// Quoted JSON string literal (shared escaping rules).
-std::string quoted(const std::string& s) {
-  std::string out;
-  json_quote_into(out, s);
-  return out;
-}
 
 }  // namespace
 
@@ -47,23 +40,22 @@ void BenchReport::metric(const std::string& metric_name, double value,
 bool BenchReport::json_enabled() { return json_dir() != nullptr; }
 
 std::string BenchReport::to_json() const {
-  std::string out = "{\n  \"bench\": " + quoted(name_) + ",\n";
-  // Machine context, so the CI baseline diff can tell same-hardware
-  // comparisons (gate) from cross-hardware ones (informational).
-  out += "  \"num_cpus\": " +
-         std::to_string(std::thread::hardware_concurrency()) + ",\n";
-  out += "  \"metrics\": [";
-  for (std::size_t i = 0; i < metrics_.size(); ++i) {
-    const Entry& m = metrics_[i];
-    char value[64];
-    std::snprintf(value, sizeof value, "%.6f", m.value);
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"name\": " + quoted(m.name) + ", \"value\": " + value +
-           ", \"unit\": " + quoted(m.unit) +
-           (m.gate ? "" : ", \"gate\": false") + "}";
-  }
-  out += "\n  ]\n}\n";
-  return out;
+  JsonWriter w(2);
+  w.object([&] {
+    w.field("bench", name_);
+    // Machine context, so the CI baseline diff can tell same-hardware
+    // comparisons (gate) from cross-hardware ones (informational).
+    w.field("num_cpus", std::thread::hardware_concurrency());
+    w.array("metrics", metrics_, [&](const Entry& m) {
+      w.object([&] {
+        w.field("name", m.name);
+        w.field("value", m.value);
+        w.field("unit", m.unit);
+        if (!m.gate) w.field("gate", false);
+      });
+    });
+  });
+  return w.take() + "\n";
 }
 
 BenchReport::~BenchReport() {

@@ -69,18 +69,4 @@ std::string render_table(const std::vector<std::vector<std::string>>& rows) {
   return out;
 }
 
-void json_quote_into(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c; break;
-    }
-  }
-  out += '"';
-}
-
 }  // namespace bolt::support

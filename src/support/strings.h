@@ -22,9 +22,4 @@ std::string pad_right(const std::string& s, std::size_t width);
 /// Renders a simple aligned text table (first row is the header).
 std::string render_table(const std::vector<std::vector<std::string>>& rows);
 
-/// Appends `s` as a double-quoted JSON string literal (escaping quotes,
-/// backslashes, newlines, and tabs). One helper shared by every JSON
-/// emitter in the tree so the escaping rules cannot diverge.
-void json_quote_into(std::string& out, const std::string& s);
-
 }  // namespace bolt::support

@@ -130,10 +130,15 @@ std::string two_entry_artifact(const std::string& entry_a,
          "," + entry_b + "]}";
 }
 
+std::string one_entry_artifact(const std::string& entry) {
+  return "{\"version\":1,\"nf\":\"x\",\"pcvs\":[],\"entries\":[" + entry +
+         "]}";
+}
+
 const char* kEntryA =
     "{\"input_class\":\"a\",\"paths_coalesced\":1,\"metrics\":{"
     "\"instructions\":[{\"coeff\":1,\"pcvs\":[]}],"
-    "\"mem_accesses\":[],\"cycles\":[]}}";
+    "\"memory accesses\":[],\"cycles\":[]}}";
 
 std::string write_temp(const std::string& name, const std::string& content) {
   const std::string path = ::testing::TempDir() + "/" + name;
@@ -186,6 +191,33 @@ TEST(ContractGoldenDeathTest, OverflowingBoundConstantIsRejected) {
   PcvRegistry reg;
   EXPECT_DEATH(contract_from_json(two_entry_artifact(kEntryA, entry_b), reg),
                "overflows 64 bits");
+}
+
+// Metric keys are read in the writer's fixed order: a misspelled, missing
+// or duplicated key is rejected naming the key that was expected, never
+// skipped (which would load that metric's bounds as 0).
+TEST(ContractGoldenDeathTest, MisspelledMetricKeyIsRejected) {
+  std::string golden = read_file(golden_path("nat"));
+  golden.replace(golden.find("\"cycles\":"), 9, "\"cycels\":");
+  PcvRegistry reg;
+  EXPECT_DEATH(contract_from_json(golden, reg),
+               "expected key 'cycles', got 'cycels'");
+}
+
+TEST(ContractGoldenDeathTest, MissingMetricKeyIsRejected) {
+  std::string entry = kEntryA;
+  entry.replace(entry.find(",\"cycles\":[]"), 12, "");
+  PcvRegistry reg;
+  EXPECT_DEATH(contract_from_json(one_entry_artifact(entry), reg),
+               "expected key 'cycles', got '}'");
+}
+
+TEST(ContractGoldenDeathTest, DuplicatedMetricKeyIsRejected) {
+  std::string entry = kEntryA;
+  entry.replace(entry.find("\"memory accesses\""), 17, "\"instructions\"");
+  PcvRegistry reg;
+  EXPECT_DEATH(contract_from_json(one_entry_artifact(entry), reg),
+               "expected key 'memory accesses', got 'instructions'");
 }
 
 TEST(ContractGoldenDeathTest, EmptyArtifactFileIsLoud) {

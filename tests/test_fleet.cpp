@@ -16,7 +16,9 @@
 //  * partials round-trip through their schema-versioned JSON exactly, and
 //    the spool reader picks up precisely the files the naming scheme owns;
 //  * PcapTail sees records appended chunk-by-chunk, torn mid-record
-//    writes included — the --follow daemon's input contract.
+//    writes included, yields exactly read_pcap's packets for seeded random
+//    chunk sizes, and rejects a record longer than the snaplen — the
+//    --follow daemon's input contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -438,14 +440,15 @@ TEST(Fleet, SpoolReaderPicksUpExactlyItsOwnFiles) {
   ASSERT_TRUE(support::write_file(dir + "/README", "not a partial"));
   std::vector<WindowPartial> windows;
   std::vector<FinalPartial> finals;
-  read_spool(dir, "router", &windows, &finals);
+  std::string error;
+  ASSERT_TRUE(read_spool(dir, "router", &windows, &finals, &error)) << error;
   EXPECT_EQ(windows.size(), 2u);
   ASSERT_EQ(finals.size(), 1u);
   EXPECT_EQ(final_partial_to_json(finals[0]), run.final_partial);
   // Missing directory: empty result, not an error.
   windows.clear();
   finals.clear();
-  read_spool(dir + "/nope", "router", &windows, &finals);
+  EXPECT_TRUE(read_spool(dir + "/nope", "router", &windows, &finals, &error));
   EXPECT_TRUE(windows.empty());
   EXPECT_TRUE(finals.empty());
 }
@@ -484,6 +487,53 @@ TEST(PcapTail, SeesRecordsAppendedAcrossTornWrites) {
   EXPECT_TRUE(tail.poll().empty());  // drained
   ASSERT_EQ(got.size(), packets.size());
   EXPECT_EQ(net::serialize_pcap(got), bytes);
+  std::remove(path.c_str());
+}
+
+TEST(PcapTail, SeededRandomChunksYieldExactlyReadPcapsPackets) {
+  net::ZipfSpec spec;
+  spec.packet_count = 300;
+  const std::string path = testing::TempDir() + "bolt_tail_chunks.pcap";
+  net::write_pcap(path, net::zipf_traffic(spec));
+  const std::vector<net::Packet> expected = net::read_pcap(path);
+  const std::vector<std::uint8_t> bytes = net::serialize_pcap(expected);
+  for (const unsigned seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    std::remove(path.c_str());
+    std::mt19937 rng(seed);
+    std::uniform_int_distribution<std::size_t> chunk(1, 256);
+    net::PcapTail tail(path);
+    std::vector<net::Packet> got;
+    for (std::size_t written = 0; written < bytes.size();) {
+      const std::size_t n = std::min(chunk(rng), bytes.size() - written);
+      std::FILE* f = std::fopen(path.c_str(), "ab");
+      ASSERT_NE(f, nullptr);
+      std::fwrite(bytes.data() + written, 1, n, f);
+      std::fclose(f);
+      written += n;
+      const std::vector<net::Packet> polled = tail.poll();
+      got.insert(got.end(), polled.begin(), polled.end());
+    }
+    ASSERT_EQ(got.size(), expected.size());
+    EXPECT_EQ(net::serialize_pcap(got), bytes);
+  }
+  std::remove(path.c_str());
+}
+
+// A corrupt record length is rejected by the shared decoder instead of
+// being buffered for: --follow stops with the diagnostic rather than
+// waiting forever on a 4 GiB record, and read_pcap names the same cause.
+TEST(PcapTailDeathTest, RecordLongerThanTheSnaplenIsRejected) {
+  net::ZipfSpec spec;
+  spec.packet_count = 2;
+  std::vector<std::uint8_t> bytes =
+      net::serialize_pcap(net::zipf_traffic(spec));
+  for (std::size_t i = 32; i < 36; ++i) bytes[i] = 0xff;  // incl_len
+  const std::string path = testing::TempDir() + "bolt_tail_corrupt.pcap";
+  ASSERT_TRUE(support::write_file(path, std::string(bytes.begin(), bytes.end())));
+  net::PcapTail tail(path);
+  EXPECT_DEATH(tail.poll(), "record of 4294967295 bytes exceeds the snaplen");
+  EXPECT_DEATH(net::read_pcap(path), "exceeds the snaplen 65535");
   std::remove(path.c_str());
 }
 

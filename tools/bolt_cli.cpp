@@ -62,6 +62,7 @@
 #include "perf/contract_io.h"
 #include "support/bench.h"
 #include "support/io.h"
+#include "support/json.h"
 #include "support/strings.h"
 
 using namespace bolt;
@@ -281,8 +282,8 @@ bool monitor_workload(const std::string& nf, std::string kind,
 /// one generated in-process (developer mode: `*generated` then also holds
 /// the path reports, which double as the adversary's witnesses). Returns 0,
 /// or the exit code after printing why: 2 for an unknown target, an
-/// unreadable or empty artifact, or an artifact generated for another NF.
-/// Malformed artifact content still aborts in perf::contract_from_json.
+/// unreadable, empty or malformed artifact, or an artifact generated for
+/// another NF.
 int acquire_contract(const std::string& nf, const std::string& path,
                      std::size_t threads, perf::PcvRegistry& reg,
                      perf::Contract& contract,
@@ -307,7 +308,11 @@ int acquire_contract(const std::string& nf, const std::string& path,
     std::fprintf(stderr, "error: cannot read contract '%s'\n", path.c_str());
     return 2;
   }
-  contract = perf::contract_from_json(text, reg);
+  std::string error;
+  if (!perf::decode_contract(text, reg, &contract, &error)) {
+    std::fprintf(stderr, "error: %s: %s\n", path.c_str(), error.c_str());
+    return 2;
+  }
   if (contract.nf_name() != target.contract_name()) {
     std::fprintf(stderr,
                  "error: contract '%s' was generated for nf '%s', not "
@@ -706,7 +711,11 @@ int cmd_merge(const std::string& nf, const MonitorCliArgs& args) {
   }
   std::vector<obs::WindowPartial> windows;
   std::vector<obs::FinalPartial> finals;
-  obs::read_spool(args.spool, nf, &windows, &finals);
+  std::string error;
+  if (!obs::read_spool(args.spool, nf, &windows, &finals, &error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 2;
+  }
   if (finals.empty()) {
     std::fprintf(stderr,
                  "error: no fleet partials for '%s' under '%s' (need at "
@@ -724,7 +733,7 @@ int cmd_merge(const std::string& nf, const MonitorCliArgs& args) {
   }
   std::fprintf(stderr, "merged %zu window partial(s) from %zu file(s) across "
                "the fleet\n",
-               merged.observations.deltas.size(), windows.size() + finals.size());
+               windows.size(), windows.size() + finals.size());
   return monitor_exit_code(merged.report, args.violation_threshold,
                            merged.observations.alerts.size());
 }
@@ -826,46 +835,35 @@ int cmd_adversary(const std::string& nf, const AdversaryCliArgs& args) {
 std::string hunt_to_json(const std::string& nf, const AdversaryCliArgs& args,
                          const adversary::HunterResult& hunt,
                          const adversary::MinimizeResult* minimized) {
-  using support::json_quote_into;
-  std::string out = "{\"version\":1,\"nf\":";
-  json_quote_into(out, nf);
-  out += ",\"seed\":" + std::to_string(args.seed);
-  out += ",\"violation_found\":" +
-         std::string(hunt.violation_found ? "true" : "false");
-  out += ",\"divergence_found\":" +
-         std::string(hunt.divergence_found ? "true" : "false");
-  out += ",\"violation_generation\":" +
-         std::to_string(hunt.violation_generation);
-  out += ",\"replays\":" + std::to_string(hunt.replays);
-  out += ",\"fitness\":{\"violations\":" +
-         std::to_string(hunt.fitness.violations);
-  out += ",\"margin_p99_pm\":" + std::to_string(hunt.fitness.margin_p99_pm);
-  out += ",\"worst_util_pm\":" + std::to_string(hunt.fitness.worst_util_pm);
-  out += ",\"total_util_pm\":" + std::to_string(hunt.fitness.total_util_pm);
-  out += "},\"packets\":" + std::to_string(hunt.best.packets.size());
-  out += ",\"history\":[";
-  bool first = true;
-  for (const std::string& line : hunt.history) {
-    if (!first) out += ',';
-    first = false;
-    json_quote_into(out, line);
-  }
-  out += "],\"minimized\":";
-  if (minimized == nullptr) {
-    out += "null";
-  } else {
-    out += "{\"reproduced\":" +
-           std::string(minimized->reproduced ? "true" : "false");
-    out += ",\"one_minimal\":" +
-           std::string(minimized->one_minimal ? "true" : "false");
-    out += ",\"original_packets\":" +
-           std::to_string(minimized->original_packets);
-    out += ",\"packets\":" + std::to_string(minimized->minimized_packets);
-    out += ",\"replays\":" + std::to_string(minimized->replays);
-    out += '}';
-  }
-  out += '}';
-  return out;
+  support::JsonWriter w;
+  w.object([&] {
+    w.field("version", 1);
+    w.field("nf", nf);
+    w.field("seed", args.seed);
+    w.field("violation_found", hunt.violation_found);
+    w.field("divergence_found", hunt.divergence_found);
+    w.field("violation_generation", hunt.violation_generation);
+    w.field("replays", hunt.replays);
+    w.object("fitness", [&] {
+      w.field("violations", hunt.fitness.violations);
+      w.field("margin_p99_pm", hunt.fitness.margin_p99_pm);
+      w.field("worst_util_pm", hunt.fitness.worst_util_pm);
+      w.field("total_util_pm", hunt.fitness.total_util_pm);
+    });
+    w.field("packets", hunt.best.packets.size());
+    w.field("history", hunt.history);
+    w.key("minimized");
+    w.nullable(minimized != nullptr, [&] {
+      w.object([&] {
+        w.field("reproduced", minimized->reproduced);
+        w.field("one_minimal", minimized->one_minimal);
+        w.field("original_packets", minimized->original_packets);
+        w.field("packets", minimized->minimized_packets);
+        w.field("replays", minimized->replays);
+      });
+    });
+  });
+  return w.take();
 }
 
 int cmd_hunt(const std::string& nf, const AdversaryCliArgs& args) {
