@@ -22,14 +22,20 @@ struct PcapFormat {
   std::uint32_t max_record = 262144;
 };
 
-/// Reads all packets from a PCAP file. Aborts on malformed files (analysis
-/// inputs are trusted, truncation is a usage error we surface loudly).
+/// Reads all packets from a PCAP file into `*out`. False with the reason
+/// (`pcap: ...`, naming the byte offset of a malformed header or record)
+/// when the file cannot be read or is not a complete pcap.
+bool read_pcap(const std::string& path, std::vector<Packet>* out,
+               std::string* error);
+
+/// read_pcap that aborts with the path and reason instead, for inputs a
+/// program generated itself.
 std::vector<Packet> read_pcap(const std::string& path);
 
 /// Writes packets as a nanosecond-resolution PCAP file (link type EN10MB).
 void write_pcap(const std::string& path, const std::vector<Packet>& packets);
 
-/// In-memory variants used by tests.
+/// In-memory variants used by tests (parse_pcap aborts like read_pcap).
 std::vector<Packet> parse_pcap(const std::vector<std::uint8_t>& bytes);
 std::vector<std::uint8_t> serialize_pcap(const std::vector<Packet>& packets);
 
@@ -40,9 +46,9 @@ std::vector<std::uint8_t> serialize_pcap(const std::vector<Packet>& packets);
 /// not exist yet, or one shorter than its global header) is simply "no
 /// data yet" and is retried on the next poll. Both timestamp resolutions
 /// and byte orders are accepted; a *malformed* header (bad magic, non-
-/// Ethernet link type) or a record longer than the snaplen still aborts
-/// loudly, exactly like read_pcap — a tailed file must be a pcap, it is
-/// only allowed to be unfinished. Both readers share one header and record
+/// Ethernet link type) or a record longer than the snaplen is an error,
+/// with read_pcap's message — a tailed file must be a pcap, it is only
+/// allowed to be unfinished. Both readers share one header and record
 /// decoder.
 class PcapTail {
  public:
@@ -52,8 +58,10 @@ class PcapTail {
   PcapTail& operator=(const PcapTail&) = delete;
 
   /// Drains newly completed records. Returns an empty vector when nothing
-  /// new is available (not yet created / no new complete records).
-  std::vector<Packet> poll();
+  /// new is available (not yet created / no new complete records). When
+  /// the file is malformed, returns the records before the fault with the
+  /// reason in `*error`, and every later poll reports it again.
+  std::vector<Packet> poll(std::string* error);
 
   /// True once the global header has been read and validated.
   bool header_seen() const { return header_done_; }
@@ -64,6 +72,7 @@ class PcapTail {
   bool header_done_ = false;
   PcapFormat format_;
   std::vector<std::uint8_t> buf_;  ///< carried-over partial record bytes
+  std::uint64_t offset_ = 0;       ///< file offset of buf_[0]
 };
 
 }  // namespace bolt::net

@@ -17,8 +17,8 @@
 //    the spool reader picks up precisely the files the naming scheme owns;
 //  * PcapTail sees records appended chunk-by-chunk, torn mid-record
 //    writes included, yields exactly read_pcap's packets for seeded random
-//    chunk sizes, and rejects a record longer than the snaplen — the
-//    --follow daemon's input contract.
+//    chunk sizes, and reports a record longer than the snaplen or an
+//    unreadable path as an error — the --follow daemon's input contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -465,7 +465,8 @@ TEST(PcapTail, SeesRecordsAppendedAcrossTornWrites) {
   std::remove(path.c_str());
 
   net::PcapTail tail(path);
-  EXPECT_TRUE(tail.poll().empty());  // file does not exist yet
+  std::string error;
+  EXPECT_TRUE(tail.poll(&error).empty());  // file does not exist yet
   EXPECT_FALSE(tail.header_seen());
 
   // Append in chunks whose boundaries tear the global header and packet
@@ -480,11 +481,12 @@ TEST(PcapTail, SeesRecordsAppendedAcrossTornWrites) {
     std::fwrite(bytes.data() + written, 1, cut - written, f);
     std::fclose(f);
     written = cut;
-    const std::vector<net::Packet> chunk = tail.poll();
+    const std::vector<net::Packet> chunk = tail.poll(&error);
     got.insert(got.end(), chunk.begin(), chunk.end());
   }
   EXPECT_TRUE(tail.header_seen());
-  EXPECT_TRUE(tail.poll().empty());  // drained
+  EXPECT_TRUE(tail.poll(&error).empty());  // drained
+  EXPECT_EQ(error, "");
   ASSERT_EQ(got.size(), packets.size());
   EXPECT_EQ(net::serialize_pcap(got), bytes);
   std::remove(path.c_str());
@@ -503,6 +505,7 @@ TEST(PcapTail, SeededRandomChunksYieldExactlyReadPcapsPackets) {
     std::mt19937 rng(seed);
     std::uniform_int_distribution<std::size_t> chunk(1, 256);
     net::PcapTail tail(path);
+    std::string error;
     std::vector<net::Packet> got;
     for (std::size_t written = 0; written < bytes.size();) {
       const std::size_t n = std::min(chunk(rng), bytes.size() - written);
@@ -511,18 +514,27 @@ TEST(PcapTail, SeededRandomChunksYieldExactlyReadPcapsPackets) {
       std::fwrite(bytes.data() + written, 1, n, f);
       std::fclose(f);
       written += n;
-      const std::vector<net::Packet> polled = tail.poll();
+      const std::vector<net::Packet> polled = tail.poll(&error);
       got.insert(got.end(), polled.begin(), polled.end());
     }
+    EXPECT_EQ(error, "");
     ASSERT_EQ(got.size(), expected.size());
     EXPECT_EQ(net::serialize_pcap(got), bytes);
   }
   std::remove(path.c_str());
 }
 
+TEST(PcapTail, AnUnreadablePathIsAnError) {
+  net::PcapTail tail(testing::TempDir());  // a directory opens, then fails
+  std::string error;
+  EXPECT_TRUE(tail.poll(&error).empty());
+  EXPECT_EQ(error, "pcap: cannot read the file");
+}
+
 // A corrupt record length is rejected by the shared decoder instead of
 // being buffered for: --follow stops with the diagnostic rather than
-// waiting forever on a 4 GiB record, and read_pcap names the same cause.
+// waiting forever on a 4 GiB record, and read_pcap names the same cause —
+// reported to the CLI, fatal through the aborting wrapper.
 TEST(PcapTailDeathTest, RecordLongerThanTheSnaplenIsRejected) {
   net::ZipfSpec spec;
   spec.packet_count = 2;
@@ -531,8 +543,19 @@ TEST(PcapTailDeathTest, RecordLongerThanTheSnaplenIsRejected) {
   for (std::size_t i = 32; i < 36; ++i) bytes[i] = 0xff;  // incl_len
   const std::string path = testing::TempDir() + "bolt_tail_corrupt.pcap";
   ASSERT_TRUE(support::write_file(path, std::string(bytes.begin(), bytes.end())));
+  const std::string message =
+      "pcap: record of 4294967295 bytes exceeds the snaplen 65535 at byte 24";
   net::PcapTail tail(path);
-  EXPECT_DEATH(tail.poll(), "record of 4294967295 bytes exceeds the snaplen");
+  std::string error;
+  EXPECT_TRUE(tail.poll(&error).empty());
+  EXPECT_EQ(error, message);
+  error.clear();
+  EXPECT_TRUE(tail.poll(&error).empty());  // and stays malformed
+  EXPECT_EQ(error, message);
+  std::vector<net::Packet> packets;
+  error.clear();
+  EXPECT_FALSE(net::read_pcap(path, &packets, &error));
+  EXPECT_EQ(error, message);
   EXPECT_DEATH(net::read_pcap(path), "exceeds the snaplen 65535");
   std::remove(path.c_str());
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
 
 #include "net/checksum.h"
@@ -9,6 +10,7 @@
 #include "net/packet_builder.h"
 #include "net/pcap.h"
 #include "net/workload.h"
+#include "support/io.h"
 
 namespace bolt::net {
 namespace {
@@ -312,6 +314,35 @@ TEST(Pcap, FileRoundTrip) {
   const auto loaded = read_pcap(path);
   ASSERT_EQ(loaded.size(), 1u);
   EXPECT_EQ(loaded[0].timestamp_ns(), 42u);
+}
+
+// The reporting reader names what is wrong and where; the CLI turns the
+// message into exit 2.
+TEST(Pcap, MalformedFilesAreReportedWithTheirOffset) {
+  const std::string path = ::testing::TempDir() + "/bolt_malformed.pcap";
+  const std::vector<std::uint8_t> good =
+      serialize_pcap({packet_for_tuple(tuple_for_index(1), 42)});
+  std::vector<std::uint8_t> magic = good, link = good;
+  magic[0] = 0;
+  link[20] = 2;
+  const std::pair<std::vector<std::uint8_t>, std::string> cases[] = {
+      {magic, "pcap: bad magic number at byte 0"},
+      {link, "pcap: only EN10MB supported at byte 20"},
+      {{good.begin(), good.end() - 1}, "pcap: truncated record at byte 24"},
+      {{good.begin(), good.begin() + 10}, "pcap: file shorter than global header"},
+  };
+  std::vector<Packet> packets;
+  std::string error;
+  for (const auto& [bytes, message] : cases) {
+    ASSERT_TRUE(support::write_file(path, std::string(bytes.begin(), bytes.end())));
+    EXPECT_FALSE(read_pcap(path, &packets, &error));
+    EXPECT_EQ(error, message);
+  }
+  EXPECT_FALSE(read_pcap(path + ".missing", &packets, &error));
+  EXPECT_EQ(error, "pcap: cannot open the file");
+  EXPECT_FALSE(read_pcap(::testing::TempDir(), &packets, &error));
+  EXPECT_EQ(error, "pcap: not a regular file");
+  std::remove(path.c_str());
 }
 
 TEST(Workload, UniformDeterministic) {

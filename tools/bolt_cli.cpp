@@ -1,39 +1,9 @@
 // bolt — command-line front end to the contract generator, the Distiller,
-// and the contract monitor.
-//
-//   bolt contract <nf> [--json] [--out F]  generate + print (or store) an
-//                                    NF's contract artifact
-//   bolt paths <nf>                  per-path report (no coalescing)
-//   bolt distill <nf> <pcap>         run a PCAP through the NF, report PCVs
-//   bolt predict <nf> k=v [k=v...]   evaluate the contract at a PCV binding
-//   bolt monitor <nf> [...]          stream traffic through the NF and
-//                                    validate every packet against the
-//                                    contract (violations, headroom,
-//                                    quantile sketches, worst offenders).
-//                                    With --contract FILE.json the stored
-//                                    artifact is validated instead — the
-//                                    operator workflow, no symbex at all.
-//                                    --follow tails a growing pcap as a
-//                                    daemon; --fleet I/N + --spool DIR
-//                                    run one instance of a fleet.
-//   bolt merge <nf> --spool DIR      fold a fleet's spooled partials into
-//                                    the fleet-wide delta stream + report
-//                                    (byte-identical to a single monitor
-//                                    over the combined traffic)
-//   bolt hunt <nf> [...]             feedback-directed search for contract
-//                                    violations past the synthesised edge;
-//                                    a find is delta-debugged to a minimal
-//                                    witness trace and fails the gate
-//   bolt gen <kind> <out.pcap> [n]   write a workload PCAP
-//                                    (kind: uniform | churn | zipf | bridge
-//                                     | attack | heartbeat | longrun)
-//   bolt scenarios                   run the Figure-1 scenario sweep
-//
-// <nf> is one of: bridge, nat, nat-b (allocator B), lb, lpm, lpm-simple,
-// firewall, router, fw+router (the chain).
+// the contract monitor, the fleet merger and the adversary. The subcommands
+// and flags are declared once, in core/cli.h (`bolt --help` renders them);
+// this file parses through that table and dispatches.
 #include <sys/stat.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -48,14 +18,13 @@
 #include "adversary/report.h"
 #include "adversary/trace.h"
 #include "core/bolt.h"
-#include "core/cli_usage.h"
+#include "core/cli.h"
 #include "core/distiller.h"
 #include "core/experiments.h"
 #include "core/targets.h"
 #include "monitor/follow.h"
 #include "monitor/monitor.h"
 #include "net/pcap.h"
-#include "net/workload.h"
 #include "obs/delta.h"
 #include "obs/fleet.h"
 #include "obs/telemetry.h"
@@ -74,14 +43,21 @@ int usage() {
   return 2;
 }
 
-int cmd_contract(const std::string& nf, bool per_path, bool as_json,
-                 std::size_t threads, const std::string& out_file) {
+/// Prints why an input file was rejected; returns the usage exit code.
+int input_error(const std::string& path, const std::string& error) {
+  std::fprintf(stderr, "error: %s: %s\n", path.c_str(), error.c_str());
+  return 2;
+}
+
+int cmd_contract(const core::CliArgs& args, bool per_path) {
+  const std::string& nf = args.operands[0];
+  const std::string& out_file = args.out;
   perf::PcvRegistry reg;
   core::NfTarget target;
   if (!core::make_named_target(nf, reg, target)) return usage();
   core::BoltOptions options;
   options.coalesce = !per_path;
-  options.threads = threads;
+  options.threads = args.threads;
   core::ContractGenerator generator(reg, options);
   const auto result = generator.generate(target.analysis());
   if (!out_file.empty()) {
@@ -96,9 +72,9 @@ int cmd_contract(const std::string& nf, bool per_path, bool as_json,
                  nf.c_str(), result.contract.entries().size(),
                  static_cast<long long>(perf::kContractSchemaVersion),
                  out_file.c_str());
-    if (!as_json) return 0;
+    if (!args.json) return 0;
   }
-  if (as_json) {
+  if (args.json) {
     std::printf("%s\n", perf::contract_to_json(result.contract, reg).c_str());
     return 0;
   }
@@ -129,27 +105,13 @@ int cmd_contract(const std::string& nf, bool per_path, bool as_json,
   return 0;
 }
 
-/// The strict decimal parse every numeric argument goes through, flag or
-/// positional: the whole text must be the number, in range. strtoull alone
-/// would accept a sign or leading space, and wrap "-1" to 2^64-1 (a
-/// partition or packet count that size aborts in allocation). Otherwise
-/// prints `error: bad WHAT value 'TEXT'` and exits 2.
-std::uint64_t parse_number(const char* what, const char* text) {
-  char* end = nullptr;
-  errno = 0;
-  const std::uint64_t v = std::strtoull(text, &end, 10);
-  if (text[0] < '0' || text[0] > '9' || *end != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "error: bad %s value '%s'\n", what, text);
-    std::exit(2);
-  }
-  return v;
-}
-
 int cmd_distill(const std::string& nf, const std::string& pcap) {
   perf::PcvRegistry reg;
   core::NfTarget target;
   if (!core::make_named_target(nf, reg, target)) return usage();
-  std::vector<net::Packet> packets = net::read_pcap(pcap);
+  std::vector<net::Packet> packets;
+  std::string error;
+  if (!net::read_pcap(pcap, &packets, &error)) return input_error(pcap, error);
   std::printf("loaded %zu packets from %s\n\n", packets.size(), pcap.c_str());
 
   hw::RealisticSim testbed;
@@ -185,7 +147,8 @@ int cmd_distill(const std::string& nf, const std::string& pcap) {
   return 0;
 }
 
-int cmd_predict(const std::string& nf, int argc, char** argv, int first) {
+int cmd_predict(const std::string& nf,
+                const std::vector<std::string>& bindings) {
   perf::PcvRegistry reg;
   core::NfTarget target;
   if (!core::make_named_target(nf, reg, target)) return usage();
@@ -193,16 +156,20 @@ int cmd_predict(const std::string& nf, int argc, char** argv, int first) {
   const auto result = generator.generate(target.analysis());
 
   perf::PcvBinding bind;
-  for (int i = first; i < argc; ++i) {
-    const std::string arg = argv[i];
+  for (const std::string& arg : bindings) {
     const auto eq = arg.find('=');
     const std::string name = arg.substr(0, eq);
     if (eq == std::string::npos || !reg.contains(name)) {
       std::fprintf(stderr, "bad PCV binding '%s'\n", arg.c_str());
       return 2;
     }
-    bind.set(reg.require(name),
-             parse_number(name.c_str(), arg.c_str() + eq + 1));
+    std::uint64_t value = 0;
+    std::string error;
+    if (!core::parse_number(name, arg.c_str() + eq + 1, &value, &error)) {
+      std::fputs(error.c_str(), stderr);
+      return 2;
+    }
+    bind.set(reg.require(name), value);
   }
 
   std::vector<std::vector<std::string>> rows;
@@ -219,62 +186,6 @@ int cmd_predict(const std::string& nf, int argc, char** argv, int first) {
   }
   std::printf("%s", support::render_table(rows).c_str());
   return 0;
-}
-
-/// The one workload catalog, shared by 'monitor --workload' and 'gen' (so a
-/// generated pcap replays the monitor's own workload): `count` packets of
-/// `kind`, or of the default that suits `nf` when `kind` is empty (bridge
-/// traffic for the bridge, heavy-tailed flows otherwise). False for an
-/// unknown kind.
-bool monitor_workload(const std::string& nf, std::string kind,
-                      std::size_t count, std::vector<net::Packet>* out) {
-  if (kind.empty()) kind = nf == "bridge" ? "bridge" : "zipf";
-  if (kind == "uniform") {
-    net::UniformSpec spec;
-    spec.packet_count = count;
-    *out = net::uniform_random_traffic(spec);
-  } else if (kind == "churn") {
-    net::ChurnSpec spec;
-    spec.packet_count = count;
-    spec.churn = 0.05;
-    *out = net::churn_traffic(spec);
-  } else if (kind == "zipf") {
-    net::ZipfSpec spec;
-    spec.packet_count = count;
-    spec.flow_pool = 2048;
-    spec.skew = 1.1;
-    *out = net::zipf_traffic(spec);
-  } else if (kind == "bridge") {
-    net::BridgeSpec spec;
-    spec.packet_count = count;
-    spec.stations = 1000;
-    spec.broadcast_fraction = 0.05;
-    *out = net::bridge_traffic(spec);
-  } else if (kind == "attack") {
-    net::BridgeAttackSpec spec;
-    spec.packet_count = count;
-    *out = net::bridge_collision_attack(spec);
-  } else if (kind == "heartbeat") {
-    net::HeartbeatSpec spec;
-    spec.packet_count = count;
-    *out = net::heartbeat_traffic(spec);
-  } else if (kind == "longrun") {
-    net::LongRunSpec spec;
-    spec.packet_count = count;
-    *out = net::long_run_traffic(spec);
-  } else if (kind == "drift") {
-    net::DriftSpec spec;
-    // The erosion schedule (windows, ramp) is the spec's; --packets only
-    // scales the per-window density.
-    if (count > 0) {
-      spec.packets_per_window =
-          std::max<std::size_t>(std::size_t{1}, count / spec.windows);
-    }
-    *out = net::drift_traffic(spec);
-  } else {
-    return false;
-  }
-  return true;
 }
 
 /// The contract a subcommand checks traffic against: the stored artifact at
@@ -310,8 +221,7 @@ int acquire_contract(const std::string& nf, const std::string& path,
   }
   std::string error;
   if (!perf::decode_contract(text, reg, &contract, &error)) {
-    std::fprintf(stderr, "error: %s: %s\n", path.c_str(), error.c_str());
-    return 2;
+    return input_error(path, error);
   }
   if (contract.nf_name() != target.contract_name()) {
     std::fprintf(stderr,
@@ -324,40 +234,12 @@ int acquire_contract(const std::string& nf, const std::string& path,
   return 0;
 }
 
-struct MonitorCliArgs {
-  std::string workload;  // empty = target default
-  std::string pcap;      // overrides workload when set
-  std::string contract;  // stored artifact; empty = regenerate in-process
-  std::string report;    // also write the report JSON here
-  std::size_t packets = 100'000;
-  std::size_t partitions = 8;
-  std::size_t threads = 0;
-  std::uint64_t epoch_ns = 1'000'000'000;
-  std::uint64_t violation_threshold = 0;
-  std::uint64_t inflate_pct = 0;
-  bool cycles = true;
-  bool json = false;
-  // Telemetry layer (src/obs/).
-  std::size_t delta_every = 0;   // delta window width in epochs (0 = off)
-  std::string delta_out;         // write the delta JSONL stream here
-  std::string metrics_out;       // write the telemetry snapshot here
-  std::string metrics_format = "json";  // json | prom
-  bool watch = false;            // stream delta windows to stdout
-  // Fleet mode (monitor/follow.h + obs/fleet.h).
-  bool follow = false;           // daemon: tail --pcap as it grows
-  std::string spool;             // write fleet partials here (also: merge)
-  std::uint64_t idle_flush_ns = 0;   // follow: provisional flush after quiet
-  std::uint64_t idle_exit_ms = 0;    // follow: clean exit after quiet (0=run)
-  std::uint32_t fleet_instance = 0;  // --fleet I/N
-  std::uint32_t fleet_instances = 1;
-};
-
 /// SIGINT/SIGTERM drain flag for --follow (sig_atomic_t: all a handler may
 /// touch). The loop finishes the current poll, then drains and reports.
 volatile std::sig_atomic_t g_stop = 0;
 void handle_stop(int) { g_stop = 1; }
 
-bool write_metrics_file(const MonitorCliArgs& args,
+bool write_metrics_file(const core::CliArgs& args,
                         const obs::MonitorTelemetry& tel,
                         const std::string& nf) {
   const std::string metrics =
@@ -378,7 +260,7 @@ bool write_metrics_file(const MonitorCliArgs& args,
 /// pure JSONL stream. Returns false after printing the error when a file
 /// cannot be written (support::write_file never leaves a truncated report
 /// behind for CI to archive as valid).
-bool write_report_outputs(const MonitorCliArgs& args,
+bool write_report_outputs(const core::CliArgs& args,
                           const monitor::MonitorReport& report,
                           const obs::MonitorTelemetry& tel) {
   if (!args.metrics_out.empty() && !write_metrics_file(args, tel, report.nf)) {
@@ -400,7 +282,7 @@ bool write_report_outputs(const MonitorCliArgs& args,
 }
 
 /// The monitor's throughput footer under the text report.
-void print_throughput(const MonitorCliArgs& args, std::uint64_t packets,
+void print_throughput(const core::CliArgs& args, std::uint64_t packets,
                       double elapsed_ms) {
   if (args.json || args.watch) return;
   const double pps = elapsed_ms > 0.0
@@ -417,7 +299,7 @@ void print_throughput(const MonitorCliArgs& args, std::uint64_t packets,
 /// complete JSON lines.
 class DeltaSink {
  public:
-  explicit DeltaSink(const MonitorCliArgs& args) : args_(args) {}
+  explicit DeltaSink(const core::CliArgs& args) : args_(args) {}
   ~DeltaSink() {
     if (file_ != nullptr) std::fclose(file_);
   }
@@ -454,13 +336,13 @@ class DeltaSink {
     return false;
   }
 
-  const MonitorCliArgs& args_;
+  const core::CliArgs& args_;
   std::FILE* file_ = nullptr;
 };
 
 /// Output tail of batch 'monitor' and 'merge': the whole delta stream, then
 /// the report outputs.
-bool write_batch_outputs(const MonitorCliArgs& args,
+bool write_batch_outputs(const core::CliArgs& args,
                          const monitor::MonitorReport& report,
                          const obs::RunObservations& observations) {
   DeltaSink deltas(args);
@@ -507,11 +389,11 @@ int monitor_exit_code(const monitor::MonitorReport& report,
 int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
                        const perf::PcvRegistry& reg,
                        monitor::MonitorOptions options,
-                       const MonitorCliArgs& args,
+                       const core::CliArgs& args,
                        const std::vector<net::Packet>& packets) {
   monitor::FleetOptions fleet;
-  fleet.instance = args.fleet_instance;
-  fleet.instances = args.fleet_instances;
+  fleet.instance = args.fleet.instance;
+  fleet.instances = args.fleet.instances;
 
   if (!args.spool.empty()) {
     // One level of mkdir (EEXIST is fine): a fleet's instances race to
@@ -566,8 +448,10 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
     constexpr std::uint64_t kPollNs = 20'000'000;  // 20 ms
     std::uint64_t idle_ns = 0;
     bool flushed_idle = false;
+    std::string error;
     while (g_stop == 0) {
-      const std::vector<net::Packet> chunk = tail.poll();
+      const std::vector<net::Packet> chunk = tail.poll(&error);
+      if (!error.empty()) break;
       if (chunk.empty()) {
         if (args.idle_exit_ms > 0 &&
             idle_ns >= args.idle_exit_ms * 1'000'000) {
@@ -590,6 +474,7 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
     }
     std::signal(SIGINT, SIG_DFL);
     std::signal(SIGTERM, SIG_DFL);
+    if (!error.empty()) return input_error(args.pcap, error);
   } else {
     for (const net::Packet& p : packets) sm.feed(p);
   }
@@ -618,7 +503,7 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
                            result.observations.alerts.size());
 }
 
-int cmd_monitor(const std::string& nf, const MonitorCliArgs& args) {
+int cmd_monitor(const std::string& nf, const core::CliArgs& args) {
   perf::PcvRegistry reg;
   perf::Contract contract("");
   core::GenerationResult generated;
@@ -636,9 +521,13 @@ int cmd_monitor(const std::string& nf, const MonitorCliArgs& args) {
   // exist yet), so nothing is preloaded.
   std::vector<net::Packet> packets;
   if (!args.follow) {
+    std::string error;
     if (!args.pcap.empty()) {
-      packets = net::read_pcap(args.pcap);
-    } else if (!monitor_workload(nf, args.workload, args.packets, &packets)) {
+      if (!net::read_pcap(args.pcap, &packets, &error)) {
+        return input_error(args.pcap, error);
+      }
+    } else if (!core::make_workload(nf, args.workload, args.packets,
+                                    &packets)) {
       std::fprintf(stderr, "error: unknown workload '%s'\n",
                    args.workload.c_str());
       return usage();
@@ -653,7 +542,7 @@ int cmd_monitor(const std::string& nf, const MonitorCliArgs& args) {
   options.partitions = args.partitions;
   options.threads = args.threads;
   options.epoch_ns = args.epoch_ns;
-  options.check_cycles = args.cycles;
+  options.check_cycles = !args.no_cycles;
   // Telemetry layer: --watch and --delta-out imply delta mode at the
   // finest granularity unless --delta-every chose one.
   options.delta_every = args.delta_every;
@@ -676,7 +565,7 @@ int cmd_monitor(const std::string& nf, const MonitorCliArgs& args) {
   // lines / spool partials as it goes, then drains through the same
   // build_report path as the batch engine (byte-identical final report).
   const bool streaming =
-      args.follow || !args.spool.empty() || args.fleet_instances > 1;
+      args.follow || !args.spool.empty() || args.fleet.instances > 1;
   if (streaming) {
     return run_stream_monitor(nf, contract, reg, options, args, packets);
   }
@@ -704,7 +593,7 @@ int cmd_monitor(const std::string& nf, const MonitorCliArgs& args) {
 /// codes as 'monitor'; the result is byte-identical to a single monitor
 /// over the combined traffic, regardless of how many instances spooled or
 /// in what order their files land.
-int cmd_merge(const std::string& nf, const MonitorCliArgs& args) {
+int cmd_merge(const std::string& nf, const core::CliArgs& args) {
   if (args.spool.empty()) {
     std::fprintf(stderr, "error: 'merge' requires --spool DIR\n");
     return 2;
@@ -738,27 +627,18 @@ int cmd_merge(const std::string& nf, const MonitorCliArgs& args) {
                            merged.observations.alerts.size());
 }
 
-/// Flags of 'adversary' and 'hunt'; main() admits each flag only for the
-/// subcommands it applies to.
-struct AdversaryCliArgs {
-  std::string contract;   // stored artifact; empty = generate in-process
-  std::string out;        // trace pair prefix (hunt: minimised witness)
-  std::string report;     // gap-report / hunt-report JSON file
-  std::uint64_t seed = 1;
-  std::size_t probes = 12;
-  std::size_t partitions = 8;
-  std::size_t threads = 0;
-  std::uint64_t epoch_ns = 1'000'000'000;
-  std::uint64_t min_reached_pct = 1;
-  std::size_t generations = 6;
-  std::size_t population = 4;
-  std::size_t budget = 0;       // 0 = generations * population + 1
-  std::size_t max_replays = 0;  // minimiser replay cap (0 = uncapped)
-  bool inject_straddle_bug = false;  // test-only measurement fault
-  bool json = false;
-};
+/// The synthesiser knobs 'adversary' and 'hunt' share.
+adversary::AdversaryOptions adversary_options(const core::CliArgs& args) {
+  adversary::AdversaryOptions opts;
+  opts.seed = args.seed;
+  opts.partitions = args.partitions;
+  opts.epoch_ns = args.epoch_ns;
+  opts.probes_per_class = args.probes;
+  opts.threads = args.threads;
+  return opts;
+}
 
-int cmd_adversary(const std::string& nf, const AdversaryCliArgs& args) {
+int cmd_adversary(const std::string& nf, const core::CliArgs& args) {
   // In-process mode runs the generator once; its path reports double as
   // the synthesiser's witnesses. Stored mode leaves witness generation to
   // adversarial_traffic (bounds come from the artifact, witnesses can't).
@@ -772,14 +652,8 @@ int cmd_adversary(const std::string& nf, const AdversaryCliArgs& args) {
   const std::vector<core::PathReport>* witnesses =
       args.contract.empty() ? &generated.path_reports : nullptr;
 
-  adversary::AdversaryOptions opts;
-  opts.seed = args.seed;
-  opts.partitions = args.partitions;
-  opts.epoch_ns = args.epoch_ns;
-  opts.probes_per_class = args.probes;
-  opts.threads = args.threads;
-  const adversary::AdversarialTrace trace =
-      adversary::adversarial_traffic(nf, contract, reg, opts, witnesses);
+  const adversary::AdversarialTrace trace = adversary::adversarial_traffic(
+      nf, contract, reg, adversary_options(args), witnesses);
   if (!args.out.empty()) {
     if (!adversary::save_trace(args.out, trace)) {
       std::fprintf(stderr, "error: cannot write trace pair '%s.{pcap,json}'\n",
@@ -832,7 +706,7 @@ int cmd_adversary(const std::string& nf, const AdversaryCliArgs& args) {
   return 0;
 }
 
-std::string hunt_to_json(const std::string& nf, const AdversaryCliArgs& args,
+std::string hunt_to_json(const std::string& nf, const core::CliArgs& args,
                          const adversary::HunterResult& hunt,
                          const adversary::MinimizeResult* minimized) {
   support::JsonWriter w;
@@ -866,7 +740,7 @@ std::string hunt_to_json(const std::string& nf, const AdversaryCliArgs& args,
   return w.take();
 }
 
-int cmd_hunt(const std::string& nf, const AdversaryCliArgs& args) {
+int cmd_hunt(const std::string& nf, const core::CliArgs& args) {
   // Same contract conventions as 'adversary'.
   perf::PcvRegistry reg;
   perf::Contract contract("");
@@ -883,11 +757,7 @@ int cmd_hunt(const std::string& nf, const AdversaryCliArgs& args) {
   opts.generations = args.generations;
   opts.population = args.population;
   opts.budget = args.budget;
-  opts.adversary.seed = args.seed;
-  opts.adversary.partitions = args.partitions;
-  opts.adversary.epoch_ns = args.epoch_ns;
-  opts.adversary.probes_per_class = args.probes;
-  opts.adversary.threads = args.threads;
+  opts.adversary = adversary_options(args);
   opts.monitor.threads = args.threads;
   opts.monitor.inject_straddle_bug = args.inject_straddle_bug;
 
@@ -985,10 +855,18 @@ int cmd_scenarios(std::size_t threads) {
   return 0;
 }
 
-int cmd_gen(const std::string& kind, const std::string& out,
-            std::size_t count) {
+int cmd_gen(const std::vector<std::string>& operands) {
+  const std::string& kind = operands[0];
+  const std::string& out = operands[1];
+  std::uint64_t count = 10'000;
+  std::string error;
+  if (operands.size() > 2 &&
+      !core::parse_number("count", operands[2].c_str(), &count, &error)) {
+    std::fputs(error.c_str(), stderr);
+    return 2;
+  }
   std::vector<net::Packet> packets;
-  if (!monitor_workload("", kind, count, &packets)) return usage();
+  if (!core::make_workload("", kind, count, &packets)) return usage();
   net::write_pcap(out, packets);
   std::printf("wrote %zu packets to %s\n", packets.size(), out.c_str());
   return 0;
@@ -1006,202 +884,26 @@ int main(int argc, char** argv) {
       return 0;
     }
   }
-  if (argc < 2) return usage();
-  const std::string cmd = argv[1];
-  // Shared trailing flags: --json, --threads N (0 = hardware concurrency),
-  // plus the monitor's own knobs.
-  bool json = false;
-  MonitorCliArgs margs;
-  std::string out_file;
-  std::size_t threads = 0;
-  auto numeric = [&](int& i, const char* flag) -> std::uint64_t {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "error: %s requires a value\n", flag);
-      std::exit(2);
-    }
-    return parse_number(flag, argv[++i]);
-  };
-  AdversaryCliArgs aargs;
-  // Positionals (nf names, paths, counts, k=v bindings) pass through; a
-  // flag that is unknown — or known but inapplicable to this subcommand —
-  // must not be silently ignored: the monitor exit code is a CI gate, and
-  // a typo'd or misplaced flag would change what it gates on.
-  const bool is_monitor = cmd == "monitor";
-  const bool is_merge = cmd == "merge";
-  const bool is_adversary = cmd == "adversary";
-  const bool is_hunt = cmd == "hunt";
-  auto only_for = [&](bool applies, const char* flag) {
-    if (applies) return;
-    std::fprintf(stderr, "error: flag '%s' does not apply to '%s'\n", flag,
-                 cmd.c_str());
-    std::exit(2);
-  };
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      only_for(cmd == "contract" || cmd == "paths" || is_monitor ||
-                   is_merge || is_adversary || is_hunt,
-               "--json");
-      json = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      only_for(cmd == "contract" || cmd == "paths" || cmd == "scenarios" ||
-                   is_monitor || is_adversary || is_hunt,
-               "--threads");
-      threads = numeric(i, "--threads");
-    } else if (std::strcmp(argv[i], "--packets") == 0) {
-      only_for(is_monitor, "--packets");
-      margs.packets = numeric(i, "--packets");
-    } else if (std::strcmp(argv[i], "--partitions") == 0) {
-      only_for(is_monitor || is_adversary || is_hunt, "--partitions");
-      margs.partitions = aargs.partitions = numeric(i, "--partitions");
-    } else if (std::strcmp(argv[i], "--epoch-ns") == 0) {
-      only_for(is_monitor || is_adversary || is_hunt, "--epoch-ns");
-      margs.epoch_ns = aargs.epoch_ns = numeric(i, "--epoch-ns");
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      only_for(is_adversary || is_hunt, "--seed");
-      aargs.seed = numeric(i, "--seed");
-    } else if (std::strcmp(argv[i], "--probes") == 0) {
-      only_for(is_adversary || is_hunt, "--probes");
-      aargs.probes = numeric(i, "--probes");
-    } else if (std::strcmp(argv[i], "--min-reached-pct") == 0) {
-      only_for(is_adversary, "--min-reached-pct");
-      aargs.min_reached_pct = numeric(i, "--min-reached-pct");
-    } else if (std::strcmp(argv[i], "--generations") == 0) {
-      only_for(is_hunt, "--generations");
-      aargs.generations = numeric(i, "--generations");
-    } else if (std::strcmp(argv[i], "--population") == 0) {
-      only_for(is_hunt, "--population");
-      aargs.population = numeric(i, "--population");
-    } else if (std::strcmp(argv[i], "--budget") == 0) {
-      only_for(is_hunt, "--budget");
-      aargs.budget = numeric(i, "--budget");
-    } else if (std::strcmp(argv[i], "--max-replays") == 0) {
-      only_for(is_hunt, "--max-replays");
-      aargs.max_replays = numeric(i, "--max-replays");
-    } else if (std::strcmp(argv[i], "--inject-straddle-bug") == 0) {
-      only_for(is_hunt, "--inject-straddle-bug");
-      aargs.inject_straddle_bug = true;
-    } else if (std::strcmp(argv[i], "--contract") == 0) {
-      only_for(is_monitor || is_adversary || is_hunt, "--contract");
-      if (i + 1 >= argc) return usage();
-      margs.contract = aargs.contract = argv[++i];
-    } else if (std::strcmp(argv[i], "--report") == 0) {
-      only_for(is_monitor || is_merge || is_adversary || is_hunt, "--report");
-      if (i + 1 >= argc) return usage();
-      margs.report = aargs.report = argv[++i];
-    } else if (std::strcmp(argv[i], "--out") == 0) {
-      only_for(cmd == "contract" || is_adversary || is_hunt, "--out");
-      if (i + 1 >= argc) return usage();
-      out_file = aargs.out = argv[++i];
-    } else if (std::strcmp(argv[i], "--violation-threshold") == 0) {
-      only_for(is_monitor || is_merge, "--violation-threshold");
-      margs.violation_threshold = numeric(i, "--violation-threshold");
-    } else if (std::strcmp(argv[i], "--inflate") == 0) {
-      only_for(is_monitor, "--inflate");
-      margs.inflate_pct = numeric(i, "--inflate");
-    } else if (std::strcmp(argv[i], "--no-cycles") == 0) {
-      only_for(is_monitor, "--no-cycles");
-      margs.cycles = false;
-    } else if (std::strcmp(argv[i], "--delta-every") == 0) {
-      only_for(is_monitor, "--delta-every");
-      margs.delta_every = numeric(i, "--delta-every");
-    } else if (std::strcmp(argv[i], "--delta-out") == 0) {
-      only_for(is_monitor || is_merge, "--delta-out");
-      if (i + 1 >= argc) return usage();
-      margs.delta_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0) {
-      only_for(is_monitor || is_merge, "--metrics-out");
-      if (i + 1 >= argc) return usage();
-      margs.metrics_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-format") == 0) {
-      only_for(is_monitor || is_merge, "--metrics-format");
-      if (i + 1 >= argc) return usage();
-      const std::string fmt = argv[++i];
-      if (fmt != "json" && fmt != "prom") {
-        std::fprintf(stderr,
-                     "error: bad --metrics-format value '%s' (json | prom)\n",
-                     fmt.c_str());
-        return 2;
-      }
-      margs.metrics_format = fmt;
-    } else if (std::strcmp(argv[i], "--watch") == 0) {
-      only_for(is_monitor || is_merge, "--watch");
-      margs.watch = true;
-    } else if (std::strcmp(argv[i], "--follow") == 0) {
-      only_for(is_monitor, "--follow");
-      margs.follow = true;
-    } else if (std::strcmp(argv[i], "--spool") == 0) {
-      only_for(is_monitor || is_merge, "--spool");
-      if (i + 1 >= argc) return usage();
-      margs.spool = argv[++i];
-    } else if (std::strcmp(argv[i], "--idle-flush-ns") == 0) {
-      only_for(is_monitor, "--idle-flush-ns");
-      margs.idle_flush_ns = numeric(i, "--idle-flush-ns");
-    } else if (std::strcmp(argv[i], "--idle-exit-ms") == 0) {
-      only_for(is_monitor, "--idle-exit-ms");
-      margs.idle_exit_ms = numeric(i, "--idle-exit-ms");
-    } else if (std::strcmp(argv[i], "--fleet") == 0) {
-      only_for(is_monitor, "--fleet");
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --fleet requires a value\n");
-        return 2;
-      }
-      const std::string spec = argv[++i];
-      const auto slash = spec.find('/');
-      bool ok = slash != std::string::npos && slash > 0 &&
-                slash + 1 < spec.size();
-      if (ok) {
-        char* end = nullptr;
-        margs.fleet_instance = static_cast<std::uint32_t>(
-            std::strtoul(spec.c_str(), &end, 10));
-        ok = end == spec.c_str() + slash;
-        if (ok) {
-          margs.fleet_instances = static_cast<std::uint32_t>(
-              std::strtoul(spec.c_str() + slash + 1, &end, 10));
-          ok = *end == '\0';
-        }
-      }
-      if (!ok || margs.fleet_instances == 0 ||
-          margs.fleet_instance >= margs.fleet_instances) {
-        std::fprintf(stderr,
-                     "error: bad --fleet value '%s' (want I/N with I < N)\n",
-                     spec.c_str());
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--workload") == 0) {
-      only_for(is_monitor, "--workload");
-      if (i + 1 >= argc) return usage();
-      margs.workload = argv[++i];
-    } else if (std::strcmp(argv[i], "--pcap") == 0) {
-      only_for(is_monitor, "--pcap");
-      if (i + 1 >= argc) return usage();
-      margs.pcap = argv[++i];
-    } else if (std::strncmp(argv[i], "--", 2) == 0) {
-      std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
-      return usage();
-    }
+  core::CliArgs args;
+  std::string error;
+  if (!core::parse_cli(argc, argv, &args, &error)) {
+    std::fputs(error.c_str(), stderr);
+    return 2;
   }
-  margs.threads = threads;
-  margs.json = json;
-  aargs.threads = threads;
-  aargs.json = json;
-  if (cmd == "contract" && argc >= 3) {
-    return cmd_contract(argv[2], false, json, threads, out_file);
+  const std::string& cmd = args.command;
+  const std::vector<std::string>& ops = args.operands;
+  if (cmd == "contract" || cmd == "paths") {
+    return cmd_contract(args, cmd == "paths");
   }
-  if (cmd == "paths" && argc >= 3) {
-    return cmd_contract(argv[2], true, json, threads, "");
+  if (cmd == "distill") return cmd_distill(ops[0], ops[1]);
+  if (cmd == "predict") {
+    return cmd_predict(ops[0], std::vector<std::string>(ops.begin() + 1,
+                                                        ops.end()));
   }
-  if (cmd == "distill" && argc >= 4) return cmd_distill(argv[2], argv[3]);
-  if (cmd == "predict" && argc >= 3) return cmd_predict(argv[2], argc, argv, 3);
-  if (cmd == "monitor" && argc >= 3) return cmd_monitor(argv[2], margs);
-  if (cmd == "merge" && argc >= 3) return cmd_merge(argv[2], margs);
-  if (cmd == "adversary" && argc >= 3) return cmd_adversary(argv[2], aargs);
-  if (cmd == "hunt" && argc >= 3) return cmd_hunt(argv[2], aargs);
-  if (cmd == "gen" && argc >= 4) {
-    // The count is positional; don't mistake a trailing flag for it.
-    std::size_t count = 10'000;
-    if (argc >= 5 && argv[4][0] != '-') count = parse_number("count", argv[4]);
-    return cmd_gen(argv[2], argv[3], count);
-  }
-  if (cmd == "scenarios") return cmd_scenarios(threads);
-  return usage();
+  if (cmd == "monitor") return cmd_monitor(ops[0], args);
+  if (cmd == "merge") return cmd_merge(ops[0], args);
+  if (cmd == "adversary") return cmd_adversary(ops[0], args);
+  if (cmd == "hunt") return cmd_hunt(ops[0], args);
+  if (cmd == "gen") return cmd_gen(ops);
+  return cmd_scenarios(args.threads);
 }
