@@ -31,41 +31,66 @@ std::unique_ptr<NfRunner> NfTarget::make_runner(const nf::FrameworkCosts& fw,
   return std::make_unique<NfRunner>(programs(), nullptr, opts);
 }
 
+namespace {
+
+using Reg = perf::PcvRegistry;
+
+void chain(NfTarget& t, std::vector<ir::Program> programs) {
+  t.stateless = std::move(programs);
+  t.is_stateless = true;
+}
+
+/// One row per registered target: its name and how to build it, in the
+/// order named_targets() lists them (and `bolt --help` prints them).
+const std::pair<const char*, void (*)(Reg&, NfTarget&)> kTargets[] = {
+    {"bridge",
+     [](Reg& r, NfTarget& t) {
+       t.instance = make_bridge(r, default_bridge_config());
+     }},
+    {"nat",
+     [](Reg& r, NfTarget& t) {
+       t.instance = make_nat(r, default_nat_config());
+     }},
+    {"nat-b",
+     [](Reg& r, NfTarget& t) {
+       auto cfg = default_nat_config();
+       cfg.allocator = dslib::NatState::AllocatorKind::kB;
+       t.instance = make_nat(r, cfg);
+     }},
+    {"lb",
+     [](Reg& r, NfTarget& t) { t.instance = make_lb(r, default_lb_config()); }},
+    {"lpm", [](Reg& r, NfTarget& t) { t.instance = make_dir_lpm(r); }},
+    {"lpm-simple",
+     [](Reg& r, NfTarget& t) { t.instance = make_simple_lpm(r); }},
+    {"firewall",
+     [](Reg&, NfTarget& t) { chain(t, {nf::Firewall::program()}); }},
+    {"router",
+     [](Reg&, NfTarget& t) { chain(t, {nf::StaticRouter::program()}); }},
+    {"fw+router",
+     [](Reg&, NfTarget& t) {
+       chain(t, {nf::Firewall::program(), nf::StaticRouter::program()});
+     }},
+};
+
+}  // namespace
+
 bool make_named_target(const std::string& name, perf::PcvRegistry& reg,
                        NfTarget& out) {
-  out.name = name;
-  if (name == "bridge") {
-    out.instance = make_bridge(reg, default_bridge_config());
-  } else if (name == "nat" || name == "nat-b") {
-    auto cfg = default_nat_config();
-    if (name == "nat-b") cfg.allocator = dslib::NatState::AllocatorKind::kB;
-    out.instance = make_nat(reg, cfg);
-  } else if (name == "lb") {
-    out.instance = make_lb(reg, default_lb_config());
-  } else if (name == "lpm") {
-    out.instance = make_dir_lpm(reg);
-  } else if (name == "lpm-simple") {
-    out.instance = make_simple_lpm(reg);
-  } else if (name == "firewall") {
-    out.stateless.push_back(nf::Firewall::program());
-    out.is_stateless = true;
-  } else if (name == "router") {
-    out.stateless.push_back(nf::StaticRouter::program());
-    out.is_stateless = true;
-  } else if (name == "fw+router") {
-    out.stateless.push_back(nf::Firewall::program());
-    out.stateless.push_back(nf::StaticRouter::program());
-    out.is_stateless = true;
-  } else {
-    return false;
+  for (const auto& [target, build] : kTargets) {
+    if (name != target) continue;
+    out.name = name;
+    build(reg, out);
+    return true;
   }
-  return true;
+  return false;
 }
 
 const std::vector<std::string>& named_targets() {
-  static const std::vector<std::string> kNames = {
-      "bridge", "nat",    "nat-b",  "lb",        "lpm",
-      "lpm-simple", "firewall", "router", "fw+router"};
+  static const std::vector<std::string> kNames = [] {
+    std::vector<std::string> names;
+    for (const auto& row : kTargets) names.emplace_back(row.first);
+    return names;
+  }();
   return kNames;
 }
 

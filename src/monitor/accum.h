@@ -1,6 +1,6 @@
 // Order-independent accumulators and the one window fold shared by the
-// batch monitor engine, the streaming (follow-mode) monitor and the fleet
-// merger.
+// monitor (StreamMonitor, behind batch, daemon and fleet runs) and the
+// fleet merger.
 //
 // Every accumulator here merges order-independently: counters are sums,
 // worsts are maxima under a *total* order (utilization, ties by packet
@@ -10,12 +10,12 @@
 // window, or per fleet instance — whose composition depends on execution
 // or on deployment shape — and still merge to byte-identical reports.
 //
-// RunFold is where every deployment shape closes its windows: the batch
-// engine after merging its partitions per window, the streaming monitor as
-// packet timestamps pass each window, the fleet merger after its dedupe.
-// It renders the delta line, runs the drift pass, folds the window into
-// the run and finally renders the report, so "byte-identical to the batch
-// run" holds by construction rather than by keeping three copies in step.
+// RunFold is where every deployment shape closes its windows: the monitor
+// after merging its partitions' share of each window as packet timestamps
+// pass it, the fleet merger after its dedupe. It renders the delta line,
+// runs the drift pass, folds the window into the run and finally renders
+// the report, so "byte-identical to the batch run" holds by construction
+// rather than by keeping copies in step.
 #pragma once
 
 #include <array>
@@ -93,6 +93,17 @@ struct RunTotals {
   bool state_tracked = false;
 
   void merge(const RunTotals& other);
+};
+
+/// Per-window run bookkeeping outside the per-class statistics: the
+/// window's RunTotals (residents and state_tracked stay unset) and packet
+/// counts. Sums, minima and maxima only — fleet partials carry one per
+/// closed window and the merger folds them in any order.
+struct WindowStats : RunTotals {
+  std::uint64_t packets = 0;  ///< owned packets landed in this window
+  /// Owned packets whose timestamp fell before the open window (clamped
+  /// into it). Diagnostic only — a healthy monotone stream has zero.
+  std::uint64_t late_packets = 0;
 };
 
 /// Renders the final MonitorReport from fully merged per-entry accumulators

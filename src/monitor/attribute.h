@@ -1,7 +1,7 @@
 // Class attribution — resolving an observed run's class key to a contract
-// entry, allocation-free. Shared by the batch engine's execute/attribute
-// stage (monitor.cpp) and the streaming monitor (follow.cpp): both must
-// attribute byte-identically or fleet reports diverge from batch reports.
+// entry, allocation-free. Every partition executor (monitor/exec.h) — the
+// monitor's and the adversary shadow's — attributes through it, so a
+// planned class is the class the monitor observes.
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,11 @@
 // The monitor's one execution core: per-contract tables, the per-partition
-// executor and the row validator. The batch engine (monitor.cpp) and the
-// streaming monitor (follow.cpp) — and through the latter every fleet
-// instance — run packets through exactly this code, so "a daemon drained
-// by SIGTERM reports what a batch run would have" and "a merged fleet
-// reports what one monitor would have" hold by construction, not by
+// executor and the row validator. The monitor's one run loop
+// (StreamMonitor, follow.cpp) — behind batch runs, the daemon and every
+// fleet instance — runs packets through exactly this code, so "a daemon
+// drained by SIGTERM reports what a batch run would have" and "a merged
+// fleet reports what one monitor would have" hold by construction, not by
 // keeping parallel copies in step. The adversary's shadow
-// (adversary/adversary.cpp) is the third caller: it plans each synthesised
+// (adversary/adversary.cpp) is the second caller: it plans each synthesised
 // packet with one PartitionExec per partition, so the class and bound it
 // plans are the ones the replay will observe.
 //
@@ -14,10 +14,9 @@
 // instance (PartitionExec); each packet is executed, metered, attributed
 // to a contract entry, and its dense PCV row is checked against that
 // entry's compiled bounds (RowValidator) into the ClassAccum of the window
-// the packet lands in. The batch engine hands the validator blocks of up
-// to kBlockRows same-entry, same-window rows to amortise the expression
-// VM's dispatch; the streaming monitor hands it one row at a time.
-// Validation is row-independent and every accumulator merges
+// the packet lands in. StreamMonitor hands the validator blocks of up to
+// kBlockRows same-entry, same-window rows to amortise the expression VM's
+// dispatch. Validation is row-independent and every accumulator merges
 // order-independently, so the block size never shows in report bytes.
 // What happens to a window after it closes — delta line, drift pass, the
 // fold into the run, the report — is RunFold's (monitor/accum.h).
@@ -45,7 +44,7 @@
 
 namespace bolt::monitor {
 
-/// Rows per validation block in the batch engine: enough to amortise the
+/// Rows per validation block: enough to amortise the
 /// expression VM's per-call dispatch, small enough to stay in cache.
 inline constexpr std::size_t kBlockRows = 64;
 
@@ -74,7 +73,7 @@ struct RowBlock {
   std::vector<std::uint64_t> slots;
   std::vector<std::uint64_t> measured;  ///< rows x 3, by metric_index
   std::vector<std::uint64_t> indices;
-  std::uint64_t window = 0;  ///< delta window of every row (batch engine)
+  std::uint64_t window = 0;  ///< delta window of every row
 };
 
 /// One flow-affine partition's live state: a fresh NF instance described

@@ -1,17 +1,25 @@
-// Streaming (daemon-mode) contract monitor — the long-lived service shape
-// of the batch MonitorEngine.
-//
-// Where MonitorEngine::run() consumes a finished trace, StreamMonitor is
-// fed one packet at a time (from a tailed pcap, a ring, or a live source),
-// closes windows as packet timestamps advance, and surfaces each closed
-// window through a callback the moment it closes — delta JSONL lines,
-// drift alerts and fleet partials all flow incrementally instead of at
-// end-of-run. Packets run through the batch engine's own executor and
-// validator (monitor/exec.h), and every closed window goes through the
-// same RunFold (monitor/accum.h) the batch engine and the fleet merger
-// close theirs with, so a daemon drained by SIGTERM emits byte-for-byte
-// the report and delta stream a batch run over the same packets would
-// have produced (tests/test_fleet.cpp pins this).
+// The contract monitor's one run loop. Every monitor run feeds a
+// StreamMonitor chunks of packets: `monitor --pcap` one bounded pcap read
+// at a time until EOF, `--follow` each poll of a growing file until
+// stopped, MonitorEngine::run() its whole vector at once, and a caller
+// with one packet at a time chunks of one. A chunk runs in three steps:
+//  1. One sequential pass assigns each packet its flow-affine partition
+//     and its delta window. Windows only move forward: a packet older than
+//     the open window is clamped into it and counted in
+//     WindowStats::late_packets.
+//  2. The owned partitions with traffic run as support::ThreadPool tasks
+//     (MonitorOptions::threads), heaviest first, through their
+//     PartitionExec (monitor/exec.h), each keeping one RowBlock open per
+//     contract entry.
+//  3. Every window below the chunk's last one merges across partitions and
+//     closes through RunFold (monitor/accum.h); the on-window callback sees
+//     it at once — delta lines, drift alerts and fleet partials all flow
+//     incrementally.
+// Partition state, open blocks and the open window carry across chunks, so
+// reports are byte-identical however the input is cut and at any thread
+// count. Memory is bounded by the chunk and the open window, not by the
+// run: closed windows fold into the run and are dropped, and per-flow
+// state ages out through the deterministic epoch clock.
 //
 // Fleet mode: N instances each feed the FULL traffic stream but own a
 // disjoint subset of the flow-affine partitions (default: partition p
@@ -21,14 +29,6 @@
 // merged fleet report byte-identical to the single-instance one. Each
 // closed window becomes one spool partial (obs::window_partial, obs/fleet.h)
 // that the merger folds back together.
-//
-// Memory is bounded for unbounded runs: one open window of accumulators,
-// closed windows fold into the run and are dropped, per-flow state ages out
-// through the same deterministic epoch clock as the batch engine, and the
-// drift detector's per-series rings are fixed-size. The stream is expected
-// to be window-monotone (timestamps may jitter within a window; a packet
-// older than the open window is clamped into it and counted in
-// WindowStats::late_packets — pcap tails and NIC streams satisfy this).
 #pragma once
 
 #include <cstdint>
@@ -43,6 +43,10 @@
 #include "net/packet.h"
 #include "obs/telemetry.h"
 
+namespace bolt::support {
+class ThreadPool;
+}  // namespace bolt::support
+
 namespace bolt::monitor {
 
 /// Fleet placement for one streaming instance.
@@ -56,22 +60,6 @@ struct FleetOptions {
   /// MonitorOptions::partitions). Empty = partition p belongs to
   /// instance p % instances.
   std::vector<std::uint32_t> owners;
-};
-
-/// Per-window run bookkeeping outside the per-class statistics. Sums,
-/// minima and maxima only — fleet partials carry one per closed window and
-/// the merger folds them in any order.
-struct WindowStats {
-  std::uint64_t packets = 0;        ///< owned packets landed in this window
-  std::uint64_t unattributed = 0;
-  std::uint64_t first_unattributed = 0;
-  bool any_unattributed = false;
-  std::uint64_t epoch_sweeps = 0;
-  std::uint64_t expired_idle = 0;
-  std::uint64_t high_water = 0;
-  /// Owned packets whose timestamp fell before the open window (clamped
-  /// into it). Diagnostic only — a healthy monotone stream has zero.
-  std::uint64_t late_packets = 0;
 };
 
 /// A window handed to the on-window callback at close (or idle flush). The
@@ -105,6 +93,9 @@ class StreamMonitor {
   /// artifacts as MonitorEngine). Windows close on packet timestamps when
   /// options.delta_every > 0 and options.epoch_ns > 0; otherwise the whole
   /// run accumulates as one unemitted window and only finish() reports.
+  /// `factory` is called once per owned partition, on first traffic
+  /// (heaviest partition of that chunk first), and at finish() for owned
+  /// partitions that never saw any.
   StreamMonitor(const perf::Contract& contract, const perf::PcvRegistry& reg,
                 const MonitorEngine::TargetFactory& factory,
                 MonitorOptions options, FleetOptions fleet = {},
@@ -113,9 +104,16 @@ class StreamMonitor {
   StreamMonitor(const StreamMonitor&) = delete;
   StreamMonitor& operator=(const StreamMonitor&) = delete;
 
-  /// Feeds the next packet of the global stream (every instance of a fleet
-  /// feeds the same stream; non-owned packets advance the window clock and
-  /// the global index, nothing else).
+  /// Feeds the next `count` packets of the global stream as one chunk
+  /// (every instance of a fleet feeds the same stream; non-owned packets
+  /// advance the window clock and the global index, nothing else).
+  /// `attribution`, when non-null, has `count` slots: each owned packet's
+  /// receives its contract entry (or kUnattributedEntry), the rest are not
+  /// written.
+  void feed(const net::Packet* packets, std::size_t count,
+            std::uint32_t* attribution = nullptr);
+
+  /// The chunk-of-one case; allocation-free once the monitor is warm.
   void feed(const net::Packet& packet);
 
   /// Idle-flush hook: emits the open window provisionally (no drift
@@ -141,33 +139,44 @@ class StreamMonitor {
   }
   const MonitorOptions& options() const { return options_; }
   const FleetOptions& fleet() const { return fleet_; }
-  std::uint64_t delta_window_ns() const { return tables_.delta_window_ns; }
 
  private:
-  struct WindowData;  ///< the open window's accumulators + stats
+  struct Slice;      ///< one window's accumulation (per partition or merged)
+  struct Partition;  ///< an owned partition's executor, blocks and slices
 
   bool owned(std::size_t partition) const;
-  PartitionExec& partition(std::size_t p);
-  void close_open(bool provisional);
+  Partition& partition(std::size_t p);
+  /// Runs partition `p`'s packets of the current chunk.
+  void process_partition(std::size_t p, const net::Packet* packets,
+                         std::uint64_t base, std::uint32_t* attribution);
+  /// Closes the oldest `count` pending windows, in ascending order.
+  void close_windows(std::size_t count);
+  void emit(Slice& window, bool provisional);
+  /// The partitions' hot-path counters, summed.
+  obs::MonitorTelemetry counters() const;
 
   MonitorEngine::TargetFactory factory_;
   MonitorOptions options_;
   FleetOptions fleet_;
   WindowFn on_window_;
   ContractTables tables_;
-  bool track_state_ = false;
 
-  /// Lazily built per owned partition; the same executor the batch engine
-  /// runs, kept alive because the stream never ends.
-  std::vector<std::unique_ptr<PartitionExec>> partitions_;
-  RowValidator validator_;
-  RowBlock row_;  ///< the one-row block each owned packet is validated as
-  std::unique_ptr<WindowData> open_;  ///< null until the first packet
-  std::uint64_t open_window_ = 0;
-  bool open_dirty_ = false;  ///< data since the last (provisional) emit
+  /// Built on an owned partition's first packet (or at finish()); the
+  /// same executor for the whole run.
+  std::vector<std::unique_ptr<Partition>> partitions_;
+  std::size_t owned_count_ = 0;
+  std::unique_ptr<support::ThreadPool> pool_;
+
+  // The current chunk, refilled by every feed (buffers are reused).
+  std::vector<std::uint64_t> chunk_windows_;      ///< per packet, clamped
+  std::vector<std::vector<std::uint32_t>> work_;  ///< per partition
+  std::vector<std::size_t> active_;  ///< owned partitions with work
+
+  /// Windows seen and not yet closed, ascending; back() is the open one.
+  std::vector<std::uint64_t> pending_;
+  bool open_dirty_ = false;  ///< owned data since the last (provisional) emit
 
   RunFold fold_;  ///< closed windows, folded in order
-  obs::MonitorTelemetry tel_;
 
   std::uint64_t next_index_ = 0;  ///< global packet index (all instances
                                   ///< agree: every instance feeds the full

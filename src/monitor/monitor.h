@@ -15,7 +15,10 @@
 // through perf/contract_io (`bolt_cli monitor --contract FILE.json`), in
 // which case no symbolic execution happens at all.
 //
-// Three design points make it fast AND deterministic:
+// MonitorEngine::run() is the batch entry point: the whole trace fed as
+// one chunk to the monitor's one run loop, StreamMonitor (monitor/follow.h),
+// which the CLI also feeds — bounded pcap chunks, a tailed file, a fleet
+// instance's share. Three design points make it fast AND deterministic:
 //
 //  * One partition executor — the paper's model, one packet processed to
 //    completion by one NF instance. The stream is split into `partitions`
@@ -23,16 +26,17 @@
 //    per-flow state in a partition sees a coherent history), each with a
 //    freshly built NF instance. Every packet is executed, metered,
 //    attributed to its contract entry and validated on the thread that
-//    owns its partition (monitor/exec.h — the same core the streaming
-//    monitor and the fleet run). Each partition is one task on
-//    support::ThreadPool, submitted heaviest-first, so the pool's atomic
-//    index counter performs greedy longest-processing-time scheduling.
-//    The partition count is part of the *semantics*; `threads` is the only
-//    execution knob. Statistics accumulate per partition and merge in
-//    partition order; every accumulation is order-independent (sums,
-//    maxima under a total order, merge-order-independent quantile
-//    sketches), so reports are byte-identical at any thread count
-//    (tests/test_monitor.cpp, tests/test_monitor_longrun.cpp).
+//    owns its partition (monitor/exec.h). The partitions with traffic in a
+//    chunk are tasks on support::ThreadPool, submitted heaviest-first, so
+//    the pool's atomic index counter performs greedy longest-processing-
+//    time scheduling. The partition count is part of the *semantics*;
+//    `threads` is the only execution knob. Statistics accumulate per
+//    partition and window and merge when the window closes; every
+//    accumulation is order-independent (sums, maxima under a total order,
+//    merge-order-independent quantile sketches), so reports are
+//    byte-identical at any thread count and any chunking
+//    (tests/test_monitor.cpp, tests/test_monitor_longrun.cpp,
+//    tests/test_fleet.cpp).
 //
 //  * Compiled expressions — contract polynomials are flattened once into
 //    perf::CompiledExpr bytecode and evaluated over blocks of up to 64
@@ -50,7 +54,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -124,8 +127,6 @@ struct MonitorOptions {
   bool inject_straddle_bug = false;
 };
 
-struct ContractTables;
-
 class MonitorEngine {
  public:
   /// Builds a fresh target for one partition. PCVs are interned into the
@@ -135,16 +136,16 @@ class MonitorEngine {
   using TargetFactory = std::function<core::NfTarget(perf::PcvRegistry&)>;
 
   /// `contract` + `reg` are the contract-side artifacts (the registry the
-  /// contract's PCV ids refer to) — generated in-process or loaded via
+  /// contract's PCVs refer to) — generated in-process or loaded via
   /// perf::load_contract. Both must outlive the engine.
   MonitorEngine(const perf::Contract& contract, const perf::PcvRegistry& reg,
                 MonitorOptions options = {});
-  ~MonitorEngine();  // out of line: ContractTables is incomplete here
 
   /// Streams `packets` through per-partition instances built by `factory`
-  /// and returns the merged report. The input is not mutated (partitions
-  /// run on copies, as the NF rewrites headers). `factory` is called once
-  /// per partition, heaviest partition first.
+  /// and returns the merged report: one chunk of a StreamMonitor, then
+  /// finish(). The input is not mutated (partitions run on copies, as the
+  /// NF rewrites headers). `factory` is called once per partition,
+  /// heaviest partition first.
   ///
   /// `attribution` (optional) receives one entry per packet: the contract
   /// entry index the packet was attributed to, or kUnattributedEntry. This
@@ -167,11 +168,10 @@ class MonitorEngine {
   /// Aborts at call time if the name is unknown.
   static TargetFactory named_factory(std::string name);
 
-  const MonitorOptions& options() const { return options_; }
-
  private:
+  const perf::Contract& contract_;
+  const perf::PcvRegistry& reg_;
   MonitorOptions options_;
-  std::unique_ptr<const ContractTables> tables_;
 };
 
 /// The partition a packet belongs to: a flow-affine hash over the Ethernet

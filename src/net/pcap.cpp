@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 
 #include "support/assert.h"
 #include "support/io.h"
@@ -80,27 +81,6 @@ bool decode_records(const PcapFormat& f, const std::uint8_t* data,
   return true;
 }
 
-/// The whole-file decode behind parse_pcap and read_pcap.
-bool decode_pcap(const std::vector<std::uint8_t>& bytes,
-                 std::vector<Packet>* out, std::string* error) {
-  if (bytes.size() < 24) {
-    *error = "pcap: file shorter than global header";
-    return false;
-  }
-  PcapFormat format;
-  std::size_t pos = 24;
-  if (!decode_header(bytes.data(), &format, error) ||
-      !decode_records(format, bytes.data(), bytes.size(), &pos, 0, out,
-                      error)) {
-    return false;
-  }
-  if (pos != bytes.size()) {
-    *error = "pcap: truncated record at byte " + std::to_string(pos);
-    return false;
-  }
-  return true;
-}
-
 /// Appends `v` little-endian.
 template <class T> void put(std::vector<std::uint8_t>& out, T v) {
   for (std::size_t i = 0; i < sizeof v; ++i) {
@@ -109,13 +89,6 @@ template <class T> void put(std::vector<std::uint8_t>& out, T v) {
 }
 
 }  // namespace
-
-std::vector<Packet> parse_pcap(const std::vector<std::uint8_t>& bytes) {
-  std::vector<Packet> packets;
-  std::string error;
-  BOLT_CHECK(decode_pcap(bytes, &packets, &error), error);
-  return packets;
-}
 
 std::vector<std::uint8_t> serialize_pcap(const std::vector<Packet>& packets) {
   std::vector<std::uint8_t> out;
@@ -138,27 +111,16 @@ std::vector<std::uint8_t> serialize_pcap(const std::vector<Packet>& packets) {
 
 bool read_pcap(const std::string& path, std::vector<Packet>* out,
                std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    *error = "pcap: cannot open the file";
-    return false;
-  }
-  // The size comes from fstat, not a seek: a directory or pipe "opens" too,
-  // and its seek offset is no byte count to allocate.
-  struct stat st;
-  if (::fstat(::fileno(f), &st) != 0 || !S_ISREG(st.st_mode)) {
-    std::fclose(f);
-    *error = "pcap: not a regular file";
-    return false;
-  }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(st.st_size));
-  const std::size_t got = std::fread(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  if (got != bytes.size()) {
-    *error = "pcap: short read";
-    return false;
-  }
-  return decode_pcap(bytes, out, error);
+  PcapTail reader(path);
+  if (!reader.open(error)) return false;
+  std::string fault;
+  do {
+    std::vector<Packet> chunk = reader.poll(&fault);
+    out->insert(out->end(), std::make_move_iterator(chunk.begin()),
+                std::make_move_iterator(chunk.end()));
+  } while (fault.empty() && !reader.at_end(&fault));
+  if (!fault.empty()) *error = fault;
+  return fault.empty();
 }
 
 std::vector<Packet> read_pcap(const std::string& path) {
@@ -174,46 +136,76 @@ PcapTail::~PcapTail() {
   if (f_ != nullptr) std::fclose(f_);
 }
 
+bool PcapTail::open(std::string* error) {
+  f_ = std::fopen(path_.c_str(), "rb");
+  if (f_ == nullptr) {
+    *error = "pcap: cannot open the file";
+    return false;
+  }
+  // A directory or pipe "opens" too; only a regular file has an end.
+  struct stat st;
+  if (::fstat(::fileno(f_), &st) != 0 || !S_ISREG(st.st_mode)) {
+    *error = "pcap: not a regular file";
+    return false;
+  }
+  return true;
+}
+
 std::vector<Packet> PcapTail::poll(std::string* error) {
   std::vector<Packet> out;
+  if (!fault_.empty()) {
+    *error = fault_;
+    return out;
+  }
   if (f_ == nullptr) {
     f_ = std::fopen(path_.c_str(), "rb");
     if (f_ == nullptr) return out;  // not created yet
   }
-  // Append everything currently readable to the carry-over buffer. The
-  // writer may be mid-record; whatever does not parse as complete records
-  // stays buffered for the next poll.
-  char chunk[1 << 16];
-  for (;;) {
-    const std::size_t got = std::fread(chunk, 1, sizeof chunk, f_);
-    if (got > 0) {
-      buf_.insert(buf_.end(), chunk, chunk + got);
+  // Append the next bytes to the carry-over buffer. The writer may be
+  // mid-record; whatever does not parse as complete records stays buffered
+  // for the next poll.
+  const std::size_t kept = buf_.size();
+  buf_.resize(kept + kPcapPollBytes);
+  const std::size_t got = std::fread(buf_.data() + kept, 1, kPcapPollBytes, f_);
+  buf_.resize(kept + got);
+  at_end_ = got < kPcapPollBytes;
+  if (at_end_) {
+    // A read error (the path is a directory, say) is not "no data yet".
+    if (std::ferror(f_)) {
+      fault_ = "pcap: cannot read the file";
+      *error = fault_;
+      return out;
     }
-    if (got < sizeof chunk) {
-      // A read error (the path is a directory, say) is not "no data yet".
-      if (std::ferror(f_)) {
-        *error = "pcap: cannot read the file";
-        return out;
-      }
-      std::clearerr(f_);  // clear EOF so the next poll sees appended bytes
-      break;
-    }
+    std::clearerr(f_);  // clear EOF so the next poll sees appended bytes
   }
 
   std::size_t pos = 0;
   if (!header_done_) {
     if (buf_.size() < 24) return out;
-    if (!decode_header(buf_.data(), &format_, error)) return out;
+    if (!decode_header(buf_.data(), &format_, &fault_)) {
+      *error = fault_;
+      return out;
+    }
     header_done_ = true;
     pos = 24;
   }
-  // A corrupt record stays at the front of the buffer, so every later poll
-  // reports it again.
-  decode_records(format_, buf_.data(), buf_.size(), &pos, offset_, &out,
-                 error);
+  if (!decode_records(format_, buf_.data(), buf_.size(), &pos, offset_, &out,
+                      &fault_)) {
+    *error = fault_;
+  }
   buf_.erase(buf_.begin(), buf_.begin() + std::ptrdiff_t(pos));
   offset_ += pos;
   return out;
+}
+
+bool PcapTail::at_end(std::string* error) const {
+  if (!at_end_) return false;
+  if (!header_done_) {
+    *error = "pcap: file shorter than global header";
+  } else if (!buf_.empty()) {
+    *error = "pcap: truncated record at byte " + std::to_string(offset_);
+  }
+  return true;
 }
 
 void write_pcap(const std::string& path, const std::vector<Packet>& packets) {

@@ -162,15 +162,7 @@ WindowPartial window_partial(const monitor::StreamMonitor& sm,
     wp.classes.push_back(sm.entry_names()[e]);
     wp.accums.push_back(acc);
   }
-  const monitor::WindowStats& stats = *cw.stats;
-  wp.packets = stats.packets;
-  wp.unattributed = stats.unattributed;
-  wp.first_unattributed = stats.first_unattributed;
-  wp.any_unattributed = stats.any_unattributed;
-  wp.epoch_sweeps = stats.epoch_sweeps;
-  wp.expired_idle = stats.expired_idle;
-  wp.high_water = stats.high_water;
-  wp.late_packets = stats.late_packets;
+  static_cast<monitor::WindowStats&>(wp) = *cw.stats;
   return wp;
 }
 
@@ -392,14 +384,7 @@ FleetMergeResult merge_partials(const std::vector<WindowPartial>& windows,
                      w->classes[c] + "'");
       it->second[at->second].merge(w->accums[c], shape.max_offenders);
     }
-    RunTotals wt;
-    wt.unattributed = w->unattributed;
-    wt.first_unattributed = w->first_unattributed;
-    wt.any_unattributed = w->any_unattributed;
-    wt.epoch_sweeps = w->epoch_sweeps;
-    wt.expired_idle = w->expired_idle;
-    wt.high_water = w->high_water;
-    tail.merge(wt);
+    tail.merge(*w);
   }
 
   // Stream length: every instance fed the full stream, so finals agree;

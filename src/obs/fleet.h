@@ -17,7 +17,7 @@
 //  * duplicated partials (a retried upload, a copied spool) deduplicate by
 //    (instance, window) before merging;
 //  * the merged windows then close, in ascending order, through the same
-//    monitor::RunFold as the batch engine's and every stream instance's —
+//    monitor::RunFold as every monitor run's —
 //    one fold renders the delta lines, replays the drift detector (alerts
 //    land in the same windows a single instance would have raised them
 //    in) and renders the report.
@@ -48,8 +48,9 @@ namespace bolt::obs {
 inline constexpr std::int64_t kFleetSchemaVersion = 2;
 
 /// One instance's view of one closed delta window: per-class accumulators
-/// (only classes that saw traffic) plus the window's run bookkeeping.
-struct WindowPartial {
+/// (only classes that saw traffic) plus the window's run bookkeeping (the
+/// WindowStats base; residents and state_tracked stay unset).
+struct WindowPartial : monitor::WindowStats {
   std::string nf;
   std::uint32_t instance = 0;
   std::uint32_t instances = 1;
@@ -58,15 +59,6 @@ struct WindowPartial {
   /// Class names parallel to `accums` — only classes with packets > 0.
   std::vector<std::string> classes;
   std::vector<monitor::ClassAccum> accums;
-  // Window-scoped run bookkeeping (monitor/follow.h WindowStats).
-  std::uint64_t packets = 0;  ///< owned packets that landed in this window
-  std::uint64_t unattributed = 0;
-  std::uint64_t first_unattributed = 0;
-  bool any_unattributed = false;
-  std::uint64_t epoch_sweeps = 0;
-  std::uint64_t expired_idle = 0;
-  std::uint64_t high_water = 0;
-  std::uint64_t late_packets = 0;
 };
 
 /// One instance's end-of-stream summary: everything the final report needs

@@ -3,8 +3,10 @@
 //
 // The contracts pinned here are the operator-facing guarantees:
 //  * a StreamMonitor fed packet-by-packet produces a final report and a
-//    delta stream byte-identical to the batch engine over the same trace
-//    (so a drained daemon reports exactly what a batch re-run would);
+//    delta stream byte-identical to a batch run (the whole trace as one
+//    chunk), so a drained daemon reports exactly what a batch re-run
+//    would; on a trace that steps back past the open window, random
+//    chunkings and a 2-instance fleet agree too, late count included;
 //  * an idle flush is provisional — it emits the open window early but
 //    never perturbs the authoritative stream or the final report;
 //  * N fleet instances over random partition-ownership splits, their
@@ -242,6 +244,93 @@ TEST(StreamMonitor, DeltaStreamIsOneCompleteJsonObjectPerLine) {
   EXPECT_GE(lines, 10u);
 }
 
+// Late packets: a trace whose timestamps step back past the open window.
+// The monitor clamps such a packet into the open window (and counts it),
+// so however the stream is cut into chunks — one batch chunk, random chunk
+// sizes, or a 2-instance fleet — the report, the delta stream and the late
+// count agree.
+TEST(StreamMonitor, NonMonotoneTraceAgreesAcrossChunkingsAndFleet) {
+  NfFixture& f = nat();
+  const monitor::MonitorOptions opts = stream_options();
+  const std::uint64_t window_ns = opts.epoch_ns * opts.delta_every;
+  std::vector<net::Packet> trace = longrun_packets();
+  for (std::size_t i = 7; i < trace.size(); i += 13) {
+    const std::uint64_t ts = trace[i].timestamp_ns();
+    if (ts >= 2 * window_ns) trace[i].set_timestamp_ns(ts - 3 * window_ns / 2);
+  }
+  // The clamp rule, computed independently: a packet is late when its
+  // window is below the highest window seen before it.
+  std::uint64_t expected_late = 0;
+  std::uint64_t open_window = 0;
+  for (const net::Packet& p : trace) {
+    const std::uint64_t w = p.timestamp_ns() / window_ns;
+    if (w < open_window) ++expected_late;
+    open_window = std::max(open_window, w);
+  }
+  ASSERT_GT(expected_late, 100u);
+
+  const auto factory = monitor::MonitorEngine::named_factory("nat");
+  const auto deltas_of = [](const std::vector<DeltaWindow>& windows) {
+    std::string out;
+    for (const DeltaWindow& w : windows) out += delta_window_to_json(w) + "\n";
+    return out;
+  };
+  RunObservations batch_obs;
+  const std::string batch = monitor::report_to_json(
+      monitor::MonitorEngine(f.gen.contract, f.reg, opts)
+          .run(trace, factory, nullptr, &batch_obs));
+  const std::string batch_deltas = deltas_of(batch_obs.deltas);
+  ASSERT_GE(batch_obs.deltas.size(), 10u);
+
+  std::mt19937_64 rng(0x1A7E);
+  for (int round = 0; round < 3; ++round) {
+    std::vector<DeltaWindow> streamed;
+    std::uint64_t late = 0;
+    monitor::StreamMonitor sm(
+        f.gen.contract, f.reg, factory, opts, {},
+        [&](const monitor::ClosedWindow& cw) {
+          if (cw.has_delta) streamed.push_back(cw.delta);
+          late += cw.stats->late_packets;
+        });
+    for (std::size_t at = 0; at < trace.size();) {
+      const std::size_t n = std::min<std::size_t>(1 + rng() % 700,
+                                                   trace.size() - at);
+      sm.feed(trace.data() + at, n);
+      at += n;
+    }
+    EXPECT_EQ(monitor::report_to_json(sm.finish().report), batch) << round;
+    EXPECT_EQ(deltas_of(streamed), batch_deltas) << round;
+    EXPECT_EQ(late, expected_late) << round;
+  }
+
+  std::uint64_t fleet_late = 0;
+  std::vector<WindowPartial> windows;
+  std::vector<FinalPartial> finals;
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    monitor::FleetOptions fleet;
+    fleet.instance = i;
+    fleet.instances = 2;
+    const monitor::StreamMonitor* stream = nullptr;  // set once constructed
+    monitor::StreamMonitor sm(
+        f.gen.contract, f.reg, factory, opts, fleet,
+        [&](const monitor::ClosedWindow& cw) {
+          if (cw.stats->packets == 0) return;
+          windows.push_back(parse_window_partial(
+              window_partial_to_json(window_partial(*stream, cw))));
+          fleet_late += windows.back().late_packets;
+        });
+    stream = &sm;
+    for (const net::Packet& p : trace) sm.feed(p);
+    const monitor::StreamResult res = sm.finish();
+    finals.push_back(
+        parse_final_partial(final_partial_to_json(final_partial(sm, res))));
+  }
+  const FleetMergeResult merged = merge_partials(windows, finals, opts.drift);
+  EXPECT_EQ(monitor::report_to_json(merged.report), batch);
+  EXPECT_EQ(deltas_of(merged.observations.deltas), batch_deltas);
+  EXPECT_EQ(fleet_late, expected_late);
+}
+
 // ---------------------------------------------------------------------------
 // Fleet splits + merge.
 
@@ -367,7 +456,7 @@ TEST(Fleet, MergeTimeTelemetryAgreesAcrossBatchStreamAndFleet) {
 TEST(Fleet, UnattributedPacketsSurviveAMerge) {
   // Drop the least-used class that sees traffic from the contract: its
   // packets go unattributed, and the merged fleet must count them — and
-  // name the first — exactly as the batch engine does.
+  // name the first — exactly as a batch run does.
   NfFixture& f = nat();
   const monitor::MonitorOptions opts = stream_options();
   const auto factory = monitor::MonitorEngine::named_factory("nat");

@@ -296,8 +296,10 @@ TEST(Pcap, RoundTrip) {
     packets.push_back(packet_for_tuple(tuple_for_index(std::uint64_t(i)),
                                        1'000'000'000ULL + std::uint64_t(i) * 37));
   }
-  const auto bytes = serialize_pcap(packets);
-  const auto parsed = parse_pcap(bytes);
+  const std::string path = ::testing::TempDir() + "/bolt_roundtrip.pcap";
+  write_pcap(path, packets);
+  const auto parsed = read_pcap(path);
+  std::remove(path.c_str());
   ASSERT_EQ(parsed.size(), packets.size());
   for (std::size_t i = 0; i < packets.size(); ++i) {
     EXPECT_EQ(parsed[i].timestamp_ns(), packets[i].timestamp_ns());
@@ -342,6 +344,53 @@ TEST(Pcap, MalformedFilesAreReportedWithTheirOffset) {
   EXPECT_EQ(error, "pcap: cannot open the file");
   EXPECT_FALSE(read_pcap(::testing::TempDir(), &packets, &error));
   EXPECT_EQ(error, "pcap: not a regular file");
+  std::remove(path.c_str());
+}
+
+// Reading is chunked (kPcapPollBytes per poll): a record corrupted well
+// past the first chunk is still reported with its file offset, by
+// read_pcap and by the chunked reader itself, after every record before it.
+TEST(Pcap, CorruptRecordBeyondTheFirstChunkIsReportedWithItsOffset) {
+  std::vector<Packet> packets;
+  for (std::uint64_t i = 0; i < 40'000; ++i) {
+    packets.push_back(packet_for_tuple(tuple_for_index(i % 500), 1000 + i));
+  }
+  std::vector<std::uint8_t> bytes = serialize_pcap(packets);
+  ASSERT_GT(bytes.size(), 2 * kPcapPollBytes);
+  // The first record that starts past 1.5 chunks: its incl_len -> 2^32-1.
+  std::size_t offset = 24;
+  std::size_t corrupt = 0;
+  while (offset < kPcapPollBytes * 3 / 2) {
+    offset += 16 + packets[corrupt++].size();
+  }
+  for (std::size_t i = 8; i < 12; ++i) bytes[offset + i] = 0xff;
+  const std::string path = ::testing::TempDir() + "/bolt_corrupt_late.pcap";
+  ASSERT_TRUE(support::write_file(path, std::string(bytes.begin(), bytes.end())));
+  const std::string message =
+      "pcap: record of 4294967295 bytes exceeds the snaplen 65535 at byte " +
+      std::to_string(offset);
+
+  std::vector<Packet> loaded;
+  std::string error;
+  EXPECT_FALSE(read_pcap(path, &loaded, &error));
+  EXPECT_EQ(error, message);
+
+  PcapTail reader(path);
+  ASSERT_TRUE(reader.open(&error));
+  error.clear();
+  std::vector<Packet> got;
+  std::size_t polls = 0;
+  while (error.empty() && !reader.at_end(&error)) {
+    const std::vector<Packet> chunk = reader.poll(&error);
+    got.insert(got.end(), chunk.begin(), chunk.end());
+    ++polls;
+  }
+  EXPECT_EQ(error, message);
+  EXPECT_GE(polls, 2u);  // the fault is not in the first chunk
+  EXPECT_EQ(got.size(), corrupt);
+  error.clear();
+  EXPECT_TRUE(reader.poll(&error).empty());  // and stays malformed
+  EXPECT_EQ(error, message);
   std::remove(path.c_str());
 }
 

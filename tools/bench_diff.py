@@ -3,16 +3,11 @@
 
 Usage: tools/bench_diff.py <baseline-dir> <new-dir> [--update]
 
-For every BENCH_*.json present in BOTH directories, compares the metrics
-the file format exposes:
-
-  * Google-Benchmark JSON ("benchmarks" array): per-benchmark `real_time`
-    (lower is better; aggregate rows are skipped) plus any counters whose
-    name marks them higher-is-better (…speedup, …per_sec, …pps, …ratio).
-  * support::BenchReport JSON ("metrics" array of {name, value, unit}):
-    direction inferred from the unit/name — rates and speedups are
-    higher-is-better, durations (ms/ns/us) lower-is-better; anything
-    undecidable is reported but not gated.
+For every BENCH_*.json present in BOTH directories, compares every metric
+tools/bench_format.py reads from it (Google-Benchmark `real_time` and
+counters, support::BenchReport metrics), with that module's direction
+rule; metrics of undecidable direction, or marked ungated, are reported
+but not gated.
 
 A metric regresses when it is worse than the committed baseline by more
 than BOLT_BENCH_TOLERANCE (default 0.25 = 25%). Any regression fails the
@@ -28,80 +23,12 @@ deltas; refresh the baselines from an artifact produced on the gating
 hardware to arm the gate). BOLT_BENCH_STRICT=1 gates regardless.
 """
 
-import json
 import os
 import sys
 
+import bench_format
+
 TOLERANCE = float(os.environ.get("BOLT_BENCH_TOLERANCE", "0.25"))
-
-HIGHER_HINTS = ("speedup", "per_sec", "pps", "ratio", "throughput")
-LOWER_UNIT_HINTS = ("ns", "ms", "us", "s")
-LOWER_NAME_HINTS = ("_ns", "_ms", "_us", "latency", "time")
-
-# Reported but never gated: metrics defined against a fixed reference
-# machine (contract_gen_speedup divides by a recorded pre-optimization
-# wall time, so it is machine-proportional and redundant with the
-# real_time gate on the same benchmark).
-NEVER_GATED = ("contract_gen_speedup", "contract_gen_ns")
-
-
-def classify(name, unit=""):
-    """Returns +1 (higher better), -1 (lower better), or 0 (don't gate)."""
-    lname = name.lower()
-    lunit = (unit or "").lower()
-    if any(h in lname for h in NEVER_GATED):
-        return 0
-    if any(h in lname for h in HIGHER_HINTS) or "/s" in lunit:
-        return +1
-    if lunit in LOWER_UNIT_HINTS or any(h in lname for h in LOWER_NAME_HINTS):
-        return -1
-    return 0
-
-
-def num_cpus_of(path):
-    """CPU count recorded in the file, or None when absent."""
-    with open(path) as f:
-        doc = json.load(f)
-    if isinstance(doc, dict) and "context" in doc:
-        return doc["context"].get("num_cpus")
-    if isinstance(doc, dict):
-        return doc.get("num_cpus")
-    return None
-
-
-def metrics_of(path):
-    """Yields (metric_key, value, direction) triples for either format."""
-    with open(path) as f:
-        doc = json.load(f)
-    if isinstance(doc, dict) and "benchmarks" in doc:
-        for row in doc["benchmarks"]:
-            if row.get("run_type") == "aggregate" or "aggregate_name" in row:
-                continue
-            name = row.get("name")
-            if name is None:
-                continue
-            if "real_time" in row:
-                yield f"{name}:real_time", float(row["real_time"]), -1
-            bookkeeping = {"iterations", "repetitions", "repetition_index",
-                           "family_index", "per_family_instance_index",
-                           "threads", "real_time", "cpu_time"}
-            for key, value in row.items():
-                if key in bookkeeping:
-                    continue
-                if isinstance(value, (int, float)) and classify(key) == +1:
-                    yield f"{name}:{key}", float(value), +1
-        return
-    if isinstance(doc, dict) and "metrics" in doc:
-        for m in doc["metrics"]:
-            name = m.get("name")
-            if name is None or "value" not in m:
-                continue
-            # The bench can mark a metric informational ("gate": false) when
-            # its value depends on host properties only the run can detect
-            # (e.g. thread counts above the machine's core count).
-            direction = 0 if m.get("gate", True) is False \
-                else classify(name, m.get("unit", ""))
-            yield name, float(m["value"]), direction
 
 
 def main(argv):
@@ -125,21 +52,22 @@ def main(argv):
         if not os.path.isfile(new_path):
             print(f"  [skip] {fname}: not produced by this run")
             continue
-        base = dict((k, (v, d)) for k, v, d in metrics_of(base_path))
-        new = dict((k, (v, d)) for k, v, d in metrics_of(new_path))
+        base, base_cpus = bench_format.load(base_path)
+        new, new_cpus = bench_format.load(new_path)
         strict = os.environ.get("BOLT_BENCH_STRICT") == "1"
-        same_machine = num_cpus_of(base_path) == num_cpus_of(new_path)
+        same_machine = base_cpus == new_cpus
         if not same_machine and not strict:
             print(f"  [note] {fname}: baseline recorded on different hardware "
-                  f"(num_cpus {num_cpus_of(base_path)} vs "
-                  f"{num_cpus_of(new_path)}) — timings reported, not gated")
-        for key, (bval, direction) in sorted(base.items()):
-            if not same_machine and not strict:
-                direction = 0
+                  f"(num_cpus {base_cpus} vs {new_cpus}) — timings reported, "
+                  f"not gated")
+        for key, metric in sorted(base.items()):
+            bval = metric.value
+            gate = metric.gated and (same_machine or strict)
+            direction = metric.direction if gate else 0
             if key not in new:
                 print(f"  [gone] {fname}:{key} (was {bval:g})")
                 continue
-            nval = new[key][0]
+            nval = new[key].value
             compared += 1
             if direction == 0 or bval == 0:
                 print(f"  [info] {fname}:{key} {bval:g} -> {nval:g}")

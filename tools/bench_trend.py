@@ -25,55 +25,16 @@ Both bench JSON flavours are understood:
     any user counters (aggregate rows are skipped)
 
 The final column is the relative change of the last column vs the first,
-signed so that "+" is always *better* for metrics whose direction is
-inferable from the name/unit (rates, speedups: higher is better;
-durations: lower is better), matching tools/bench_diff.py's rules.
+with an arrow that points up when the change is *better* for metrics whose
+direction tools/bench_format.py can infer from the name/unit (rates,
+speedups: higher is better; durations: lower is better).
 """
 
 import argparse
-import json
 import os
 import sys
 
-HIGHER_MARKERS = ("speedup", "per_sec", "per_s", "pps", "ratio", "scaling")
-LOWER_UNITS = ("ms", "ns", "us", "s")
-
-
-def direction(name, unit):
-    """+1 if higher is better, -1 if lower is better, 0 if unknown."""
-    label = f"{name} {unit}".lower()
-    if any(m in label for m in HIGHER_MARKERS) or "packets/s" in label:
-        return 1
-    if unit in LOWER_UNITS or name.endswith("_ms") or "time" in name:
-        return -1
-    return 0
-
-
-def load_metrics(path):
-    """BENCH json file -> ordered {metric_name: (value, unit)}."""
-    with open(path) as f:
-        data = json.load(f)
-    out = {}
-    if "metrics" in data:  # support::BenchReport
-        for m in data["metrics"]:
-            out[m["name"]] = (float(m["value"]), m.get("unit", ""))
-    elif "benchmarks" in data:  # google-benchmark
-        for row in data["benchmarks"]:
-            if row.get("run_type") == "aggregate":
-                continue
-            name = row.get("name", "?")
-            if "real_time" in row:
-                out[f"{name}/real_time"] = (
-                    float(row["real_time"]), row.get("time_unit", "ns"))
-            for key, value in row.items():
-                if key in ("name", "run_name", "run_type", "repetitions",
-                           "repetition_index", "threads", "iterations",
-                           "real_time", "cpu_time", "time_unit",
-                           "family_index", "per_family_instance_index"):
-                    continue
-                if isinstance(value, (int, float)):
-                    out[f"{name}/{key}"] = (float(value), "")
-    return out
+import bench_format
 
 
 def fmt(value):
@@ -102,7 +63,8 @@ def render(dirs, labels):
         columns = []
         for d in dirs:
             path = os.path.join(d, bench_file)
-            columns.append(load_metrics(path) if os.path.exists(path) else None)
+            columns.append(bench_format.load(path)[0]
+                           if os.path.exists(path) else None)
         metric_names = []
         for col in columns:
             if col:
@@ -117,10 +79,10 @@ def render(dirs, labels):
         for name in metric_names:
             row = [f"`{name}`"]
             series = []
-            unit = ""
+            sign = 0
             for col in columns:
                 if col and name in col:
-                    value, unit = col[name]
+                    value, unit, sign, _ = col[name]
                     series.append(value)
                     row.append(fmt(value) + (f" {unit}" if unit else ""))
                 else:
@@ -133,7 +95,6 @@ def render(dirs, labels):
             if (series[0] is not None and series[-1] is not None and
                     len(series) >= 2 and series[0] != 0):
                 change = (series[-1] - series[0]) / abs(series[0])
-                sign = direction(name, unit)
                 if sign != 0:
                     goodness = change * sign
                     arrow = "▲" if goodness > 0.005 else (

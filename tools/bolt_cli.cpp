@@ -4,11 +4,13 @@
 // this file parses through that table and dispatches.
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <thread>
 
@@ -82,12 +84,10 @@ int cmd_contract(const core::CliArgs& args, bool per_path) {
   std::printf("\npaths: %zu   entries: %zu   unsolved: %zu   pruned: %zu\n",
               result.total_paths, result.contract.entries().size(),
               result.unsolved_paths, result.executor_stats.pruned_branches);
-  std::printf("solver: %zu feasibility probes (%zu cache hits, %zu misses)"
-              "   steals: %zu\n",
+  std::printf("solver: %zu feasibility probes (%zu cache hits, %zu misses)\n",
               result.executor_stats.solver_calls,
               result.executor_stats.feas_cache_hits,
-              result.executor_stats.feas_cache_misses,
-              result.executor_stats.steal_count);
+              result.executor_stats.feas_cache_misses);
   if (result.executor_stats.truncated_paths > 0) {
     std::printf("truncated: %zu (canonical prefix kept; raise max_paths to"
                 " see all)\n",
@@ -254,7 +254,7 @@ bool write_metrics_file(const core::CliArgs& args,
   return true;
 }
 
-/// Report outputs shared by 'monitor' (batch + streaming) and 'merge': the
+/// Report outputs shared by 'monitor' and 'merge': the
 /// --metrics-out snapshot, the --report file, then the report on stdout —
 /// one JSON line with --json, else its text unless --watch keeps stdout a
 /// pure JSONL stream. Returns false after printing the error when a file
@@ -279,18 +279,6 @@ bool write_report_outputs(const core::CliArgs& args,
     std::printf("%s", report.str().c_str());
   }
   return true;
-}
-
-/// The monitor's throughput footer under the text report.
-void print_throughput(const core::CliArgs& args, std::uint64_t packets,
-                      double elapsed_ms) {
-  if (args.json || args.watch) return;
-  const double pps = elapsed_ms > 0.0
-                         ? static_cast<double>(packets) / (elapsed_ms / 1000.0)
-                         : 0.0;
-  std::printf("\nprocessed %llu packets in %.1f ms (%.2f Mpps)\n",
-              static_cast<unsigned long long>(packets), elapsed_ms,
-              pps / 1e6);
 }
 
 /// The delta stream: one JSON line per window, written and flushed per line
@@ -340,21 +328,9 @@ class DeltaSink {
   std::FILE* file_ = nullptr;
 };
 
-/// Output tail of batch 'monitor' and 'merge': the whole delta stream, then
-/// the report outputs.
-bool write_batch_outputs(const core::CliArgs& args,
-                         const monitor::MonitorReport& report,
-                         const obs::RunObservations& observations) {
-  DeltaSink deltas(args);
-  if (!deltas.open()) return false;
-  for (const obs::DeltaWindow& w : observations.deltas) deltas.put(w);
-  return deltas.close() &&
-         write_report_outputs(args, report, observations.telemetry);
-}
-
-/// Shared gate tail for 'monitor' (batch + streaming) and 'merge': exit 1
-/// on unattributed packets or over-threshold violations, 3 on drift alerts
-/// ("about to violate"), 0 clean.
+/// Shared gate tail for 'monitor' and 'merge': exit 1 on unattributed
+/// packets or over-threshold violations, 3 on drift alerts ("about to
+/// violate"), 0 clean.
 int monitor_exit_code(const monitor::MonitorReport& report,
                       std::uint64_t violation_threshold, std::size_t alerts) {
   if (report.unattributed > 0) {
@@ -382,15 +358,92 @@ int monitor_exit_code(const monitor::MonitorReport& report,
   return 0;
 }
 
-/// Streaming/fleet monitor path: one StreamMonitor fed packet-by-packet
-/// (from the preloaded trace, or by tailing --pcap in --follow mode),
-/// emitting delta lines, spool partials and metrics refreshes as windows
-/// close. The final report goes through the same gates as the batch path.
-int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
-                       const perf::PcvRegistry& reg,
-                       monitor::MonitorOptions options,
-                       const core::CliArgs& args,
-                       const std::vector<net::Packet>& packets) {
+/// Packets per chunk of a generated --workload (a --pcap chunk is what one
+/// net::PcapTail poll returns).
+constexpr std::size_t kWorkloadSlice = 8192;
+
+/// 'bolt monitor': one StreamMonitor fed chunks — of the --pcap file until
+/// its end, of the tailed file under --follow until SIGINT/SIGTERM or
+/// --idle-exit-ms, or of the generated --workload — emitting delta lines,
+/// spool partials and metrics refreshes as windows close, then the report
+/// through the shared gates.
+int cmd_monitor(const std::string& nf, const core::CliArgs& args) {
+  perf::PcvRegistry reg;
+  perf::Contract contract("");
+  core::GenerationResult generated;
+  if (const int rc = acquire_contract(nf, args.contract, args.threads, reg,
+                                      contract, &generated)) {
+    return rc;
+  }
+
+  if (args.follow && args.pcap.empty()) {
+    std::fprintf(stderr, "error: --follow requires --pcap FILE to tail\n");
+    return 2;
+  }
+
+  // Traffic side. Only one chunk is ever read ahead of the monitor; the
+  // first is read before any output exists, so a missing, malformed or
+  // empty input leaves nothing behind. --follow tails the pcap itself (the
+  // file may not even exist yet).
+  std::vector<net::Packet> workload;
+  std::size_t sliced = 0;
+  net::PcapTail tail(args.pcap);
+  std::string error;
+  if (args.pcap.empty()) {
+    if (!core::make_workload(nf, args.workload, args.packets, &workload)) {
+      std::fprintf(stderr, "error: unknown workload '%s'\n",
+                   args.workload.c_str());
+      return usage();
+    }
+  } else if (!args.follow && !tail.open(&error)) {
+    return input_error(args.pcap, error);
+  }
+  std::vector<net::Packet> chunk;
+  const auto read_chunk = [&] {
+    if (!args.pcap.empty()) {
+      chunk = tail.poll(&error);
+      return;
+    }
+    const std::size_t n = std::min(kWorkloadSlice, workload.size() - sliced);
+    const auto first = workload.begin() + std::ptrdiff_t(sliced);
+    chunk.assign(std::make_move_iterator(first),
+                 std::make_move_iterator(first + std::ptrdiff_t(n)));
+    sliced += n;
+  };
+  // The end of a finished input (a truncated pcap sets `error`).
+  const auto exhausted = [&] {
+    return args.pcap.empty() ? sliced == workload.size() : tail.at_end(&error);
+  };
+  read_chunk();
+  const bool whole = error.empty() && !args.follow && exhausted();
+  if (!error.empty()) return input_error(args.pcap, error);
+  if (whole && chunk.empty()) {
+    std::fprintf(stderr, "error: no packets to monitor\n");
+    return usage();
+  }
+
+  monitor::MonitorOptions options;
+  options.partitions = args.partitions;
+  options.threads = args.threads;
+  options.epoch_ns = args.epoch_ns;
+  options.check_cycles = !args.no_cycles;
+  // Telemetry layer: --watch and --delta-out imply delta mode at the
+  // finest granularity unless --delta-every chose one.
+  options.delta_every = args.delta_every;
+  if ((args.watch || !args.delta_out.empty()) && options.delta_every == 0) {
+    options.delta_every = 1;
+  }
+  options.telemetry = !args.metrics_out.empty();
+  if (args.inflate_pct > 0) {
+    options.framework.rx_instructions +=
+        options.framework.rx_instructions * args.inflate_pct / 100;
+    options.framework.rx_accesses +=
+        options.framework.rx_accesses * args.inflate_pct / 100;
+    options.framework.tx_instructions +=
+        options.framework.tx_instructions * args.inflate_pct / 100;
+    options.framework.tx_accesses +=
+        options.framework.tx_accesses * args.inflate_pct / 100;
+  }
   monitor::FleetOptions fleet;
   fleet.instance = args.fleet.instance;
   fleet.instances = args.fleet.instances;
@@ -439,49 +492,54 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
     }
   };
 
-  support::BenchTimer timer;
+  // Monitor time only: the feed and finish calls, not reading or waiting.
+  double elapsed_ms = 0.0;
   if (args.follow) {
-    // Daemon: tail the pcap as it grows; SIGINT/SIGTERM drains cleanly.
+    // Daemon: SIGINT/SIGTERM drains cleanly.
     std::signal(SIGINT, handle_stop);
     std::signal(SIGTERM, handle_stop);
-    net::PcapTail tail(args.pcap);
-    constexpr std::uint64_t kPollNs = 20'000'000;  // 20 ms
-    std::uint64_t idle_ns = 0;
-    bool flushed_idle = false;
-    std::string error;
-    while (g_stop == 0) {
-      const std::vector<net::Packet> chunk = tail.poll(&error);
-      if (!error.empty()) break;
-      if (chunk.empty()) {
-        if (args.idle_exit_ms > 0 &&
-            idle_ns >= args.idle_exit_ms * 1'000'000) {
-          break;
-        }
-        if (args.idle_flush_ns > 0 && idle_ns >= args.idle_flush_ns &&
-            !flushed_idle) {
-          sm.idle_flush();
-          refresh_metrics();
-          flushed_idle = true;  // once per quiet spell; new data re-arms
-        }
-        std::this_thread::sleep_for(std::chrono::nanoseconds(kPollNs));
-        idle_ns += kPollNs;
-        continue;
-      }
+  }
+  constexpr std::uint64_t kPollNs = 20'000'000;  // 20 ms
+  std::uint64_t idle_ns = 0;
+  bool flushed_idle = false;
+  for (;;) {
+    if (!chunk.empty()) {
+      const support::BenchTimer timer;
+      sm.feed(chunk.data(), chunk.size());
+      elapsed_ms += timer.elapsed_ms();
       idle_ns = 0;
       flushed_idle = false;
-      for (const net::Packet& p : chunk) sm.feed(p);
-      refresh_metrics();
+      if (args.follow) refresh_metrics();
     }
+    if (!args.follow) {
+      if (exhausted()) break;
+    } else if (g_stop != 0) {
+      break;
+    } else if (chunk.empty()) {
+      if (args.idle_exit_ms > 0 && idle_ns >= args.idle_exit_ms * 1'000'000) {
+        break;
+      }
+      if (args.idle_flush_ns > 0 && idle_ns >= args.idle_flush_ns &&
+          !flushed_idle) {
+        sm.idle_flush();
+        refresh_metrics();
+        flushed_idle = true;  // once per quiet spell; new data re-arms
+      }
+      std::this_thread::sleep_for(std::chrono::nanoseconds(kPollNs));
+      idle_ns += kPollNs;
+    }
+    read_chunk();
+    if (!error.empty()) break;
+  }
+  if (args.follow) {
     std::signal(SIGINT, SIG_DFL);
     std::signal(SIGTERM, SIG_DFL);
-    if (!error.empty()) return input_error(args.pcap, error);
-  } else {
-    for (const net::Packet& p : packets) sm.feed(p);
   }
+  if (!error.empty()) return input_error(args.pcap, error);
 
+  const support::BenchTimer timer;
   monitor::StreamResult result = sm.finish();
-  const double elapsed_ms = timer.elapsed_ms();
-  const std::uint64_t fed = sm.packets_fed();
+  elapsed_ms += timer.elapsed_ms();
 
   if (!deltas.close()) return 1;
   if (!args.spool.empty()) {
@@ -497,95 +555,18 @@ int run_stream_monitor(const std::string& nf, const perf::Contract& contract,
                             result.observations.telemetry)) {
     return 1;
   }
-  print_throughput(args, fed, elapsed_ms);
+  if (!args.json && !args.watch) {  // the throughput footer
+    const double pps = elapsed_ms > 0.0 ? sm.packets_fed() / (elapsed_ms / 1e3)
+                                        : 0.0;
+    std::printf("\nprocessed %llu packets in %.1f ms (%.2f Mpps)\n",
+                static_cast<unsigned long long>(sm.packets_fed()), elapsed_ms,
+                pps / 1e6);
+  }
   if (spool_write_failed) return 1;
-  return monitor_exit_code(result.report, args.violation_threshold,
-                           result.observations.alerts.size());
-}
-
-int cmd_monitor(const std::string& nf, const core::CliArgs& args) {
-  perf::PcvRegistry reg;
-  perf::Contract contract("");
-  core::GenerationResult generated;
-  if (const int rc = acquire_contract(nf, args.contract, args.threads, reg,
-                                      contract, &generated)) {
-    return rc;
-  }
-
-  if (args.follow && args.pcap.empty()) {
-    std::fprintf(stderr, "error: --follow requires --pcap FILE to tail\n");
-    return 2;
-  }
-
-  // Traffic side. --follow tails the pcap itself (the file may not even
-  // exist yet), so nothing is preloaded.
-  std::vector<net::Packet> packets;
-  if (!args.follow) {
-    std::string error;
-    if (!args.pcap.empty()) {
-      if (!net::read_pcap(args.pcap, &packets, &error)) {
-        return input_error(args.pcap, error);
-      }
-    } else if (!core::make_workload(nf, args.workload, args.packets,
-                                    &packets)) {
-      std::fprintf(stderr, "error: unknown workload '%s'\n",
-                   args.workload.c_str());
-      return usage();
-    }
-    if (packets.empty()) {
-      std::fprintf(stderr, "error: no packets to monitor\n");
-      return usage();
-    }
-  }
-
-  monitor::MonitorOptions options;
-  options.partitions = args.partitions;
-  options.threads = args.threads;
-  options.epoch_ns = args.epoch_ns;
-  options.check_cycles = !args.no_cycles;
-  // Telemetry layer: --watch and --delta-out imply delta mode at the
-  // finest granularity unless --delta-every chose one.
-  options.delta_every = args.delta_every;
-  if ((args.watch || !args.delta_out.empty()) && options.delta_every == 0) {
-    options.delta_every = 1;
-  }
-  options.telemetry = !args.metrics_out.empty();
-  if (args.inflate_pct > 0) {
-    options.framework.rx_instructions +=
-        options.framework.rx_instructions * args.inflate_pct / 100;
-    options.framework.rx_accesses +=
-        options.framework.rx_accesses * args.inflate_pct / 100;
-    options.framework.tx_instructions +=
-        options.framework.tx_instructions * args.inflate_pct / 100;
-    options.framework.tx_accesses +=
-        options.framework.tx_accesses * args.inflate_pct / 100;
-  }
-  // Daemon / fleet runs go through the streaming monitor: it feeds one
-  // packet at a time, closes windows on packet timestamps and emits delta
-  // lines / spool partials as it goes, then drains through the same
-  // build_report path as the batch engine (byte-identical final report).
-  const bool streaming =
-      args.follow || !args.spool.empty() || args.fleet.instances > 1;
-  if (streaming) {
-    return run_stream_monitor(nf, contract, reg, options, args, packets);
-  }
-
-  monitor::MonitorEngine engine(contract, reg, options);
-
-  obs::RunObservations observations;
-  const bool want_obs = options.delta_every > 0 || options.telemetry;
-  support::BenchTimer timer;
-  const monitor::MonitorReport report =
-      engine.run(packets, monitor::MonitorEngine::named_factory(nf), nullptr,
-                 want_obs ? &observations : nullptr);
-  const double elapsed_ms = timer.elapsed_ms();
-
-  if (!write_batch_outputs(args, report, observations)) return 1;
-  print_throughput(args, packets.size(), elapsed_ms);
   // Drift alerts get their own exit code so CI can distinguish "about to
   // violate" (3) from "violating" (1) and "clean" (0).
-  return monitor_exit_code(report, args.violation_threshold,
-                           observations.alerts.size());
+  return monitor_exit_code(result.report, args.violation_threshold,
+                           result.observations.alerts.size());
 }
 
 /// 'bolt merge <nf> --spool DIR': fold a fleet's spooled partials into the
@@ -617,7 +598,12 @@ int cmd_merge(const std::string& nf, const core::CliArgs& args) {
   const obs::FleetMergeResult merged =
       obs::merge_partials(windows, finals, obs::DriftOptions{});
 
-  if (!write_batch_outputs(args, merged.report, merged.observations)) {
+  DeltaSink deltas(args);
+  if (!deltas.open()) return 1;
+  for (const obs::DeltaWindow& w : merged.observations.deltas) deltas.put(w);
+  if (!deltas.close() ||
+      !write_report_outputs(args, merged.report,
+                            merged.observations.telemetry)) {
     return 1;
   }
   std::fprintf(stderr, "merged %zu window partial(s) from %zu file(s) across "
